@@ -2,28 +2,24 @@
 source in periodically poled lithium niobate and its gated single-photon
 coincidence detection chain."""
 
-from .detector import (AfterpulseParams, GatedApdModel, SpcmModel, afterpulse_prob,
-                       dark_prob, detect_in_gate, detect_in_gate_batch, qe_at_overbias)
-from .dispersion import (DelayMedium, SellmeierModel, dn_dwavelength, group_delay,
-                         refractive_index)
+from .detector import GatedApdModel, SpcmModel, dark_prob, detect_in_gate_batch, qe_at_overbias
+from .dispersion import SellmeierModel, dn_dwavelength, refractive_index
 from .montecarlo import (CoincidenceHistogram, ExperimentConfig, analytic_expectation,
                          coincidence_window_sum, simulate)
 from .qpm import (CrystalSpec, PhaseMatchPoint, TuningCurve, calibrate_period,
                   fwhm_bandwidth, idler_from_energy, phase_mismatch, pm_spectrum,
                   solve_signal, tuning_curve)
-from .source import (LossChain, RateFigures, chain_efficiency, d_eff_qpm,
-                     infer_generation_rate, mode_matching_ratio, spectral_brightness)
+from .source import (LossChain, chain_efficiency, infer_generation_rate,
+                     mode_matching_ratio, spectral_brightness)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfterpulseParams", "CoincidenceHistogram", "CrystalSpec", "DelayMedium",
-    "ExperimentConfig", "GatedApdModel", "LossChain", "PhaseMatchPoint",
-    "RateFigures", "SellmeierModel", "SpcmModel", "TuningCurve",
-    "afterpulse_prob", "analytic_expectation", "calibrate_period",
-    "chain_efficiency", "coincidence_window_sum", "d_eff_qpm", "dark_prob",
-    "detect_in_gate", "detect_in_gate_batch", "dn_dwavelength", "fwhm_bandwidth",
-    "group_delay", "idler_from_energy", "infer_generation_rate",
+    "CoincidenceHistogram", "CrystalSpec", "ExperimentConfig", "GatedApdModel",
+    "LossChain", "PhaseMatchPoint", "SellmeierModel", "SpcmModel", "TuningCurve",
+    "analytic_expectation", "calibrate_period", "chain_efficiency",
+    "coincidence_window_sum", "dark_prob", "detect_in_gate_batch", "dn_dwavelength",
+    "fwhm_bandwidth", "idler_from_energy", "infer_generation_rate",
     "mode_matching_ratio", "phase_mismatch", "pm_spectrum", "qe_at_overbias",
     "refractive_index", "simulate", "solve_signal", "spectral_brightness",
     "tuning_curve",

@@ -13,7 +13,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from math import isfinite
 from pathlib import Path
+from typing import NamedTuple
 
 from . import detector, montecarlo, qpm, source
 from .config import DEFAULT_CONFIG, RunConfig, load_run_config
@@ -36,13 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> tuple[float, float, float]:
     """'A:B:STEP' -> (A, B, STEP); a bare 'A' means the single point A."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        value = float(parts[0])
-        return value, value, 1.0
-    if len(parts) != 3:
-        raise ConfigError(f"expected A:B:STEP, got '{text}'")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    try:
+        values = [float(tok) for tok in text.split(":")]
+    except ValueError:
+        raise ConfigError(f"expected numbers A:B:STEP, got '{text}'") from None
+    if len(values) not in (1, 3) or not all(isfinite(v) for v in values):
+        raise ConfigError(f"expected finite A:B:STEP, got '{text}'")
+    if len(values) == 1:
+        return values[0], values[0], 1.0
+    return values[0], values[1], values[2]
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -59,7 +63,7 @@ def _require_seed(cfg: RunConfig, override: int | None) -> int:
 
 
 def cmd_tune(cfg: RunConfig, temp_range: tuple[float, float, float],
-             out: Path) -> int:
+             out: Path) -> qpm.TuningCurve:
     lo, hi, step = temp_range
     curve = qpm.tuning_curve(cfg.crystal, cfg.pump_wavelength_nm, (lo, hi), step,
                              bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
@@ -73,10 +77,12 @@ def cmd_tune(cfg: RunConfig, temp_range: tuple[float, float, float],
               f"idler {d_idl:+.4f} nm/C")
     for t, reason in curve.failures:
         print(f"  skipped T={t:g} C: {reason}", file=sys.stderr)
-    return EXIT_OK
+    return curve
 
 
-def cmd_spectrum(cfg: RunConfig, temperature_c: float, out: Path) -> int:
+def cmd_spectrum(cfg: RunConfig, temperature_c: float,
+                 out: Path) -> tuple[qpm.PhaseMatchPoint, tuple[float, float]]:
+    """Spectrum around the operating point: (solution, (FWHM nm, FWHM GHz))."""
     solution = qpm.solve_signal(cfg.crystal, cfg.pump_wavelength_nm, temperature_c,
                                 bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
     width_nm, width_ghz = qpm.fwhm_bandwidth(cfg.crystal, solution, model=cfg.sellmeier)
@@ -87,7 +93,7 @@ def cmd_spectrum(cfg: RunConfig, temperature_c: float, out: Path) -> int:
           f"idler {solution.idler_nm:.3f} nm")
     print(f"FWHM: {width_nm:.4f} nm ({width_ghz:.2f} GHz) in the idler "
           f"-> {out / 'pm_spectrum.csv'}")
-    return EXIT_OK
+    return solution, (width_nm, width_ghz)
 
 
 def _detection_chain(cfg: RunConfig) -> source.LossChain:
@@ -96,18 +102,27 @@ def _detection_chain(cfg: RunConfig) -> source.LossChain:
     return source.LossChain(stages=cfg.experiment.idler_chain.stages + (("apd_qe", qe),))
 
 
-def cmd_budget(cfg: RunConfig, out: Path) -> int:
+class BudgetFigures(NamedTuple):
+    chain_efficiency: float
+    mode_matching: float | None  # None when a chain lacks the stages it splits
+    inferred_rate_per_mw: float
+    brightness: float
+
+
+def cmd_budget(cfg: RunConfig, out: Path) -> BudgetFigures:
     chain = _detection_chain(cfg)
-    for line in source.render_budget_text(chain):
+    table = source.render_budget_text(chain)
+    for line in table:
         print(line)
     source.write_budget_csv(chain, out / "budget.csv")
 
     lines_extra = []
     coupling = cfg.experiment.idler_chain.get("coupling_matching")
     fiber = cfg.experiment.signal_chain.get("fiber_coupling")
+    mode_match = None
     if coupling is not None and fiber is not None:
-        ratio = source.mode_matching_ratio(coupling, fiber)
-        lines_extra.append(f"signal-idler mode matching: {ratio:.4f}")
+        mode_match = source.mode_matching_ratio(coupling, fiber)
+        lines_extra.append(f"signal-idler mode matching: {mode_match:.4f}")
     signal_detection = source.LossChain(
         stages=cfg.experiment.signal_chain.stages + (("spcm_qe", cfg.spcm.efficiency),))
     inferred = source.infer_generation_rate(
@@ -118,11 +133,13 @@ def cmd_budget(cfg: RunConfig, out: Path) -> int:
     lines_extra.append(f"free-space spectral brightness: {brightness:.6g} pairs/s/GHz/mW")
     for line in lines_extra:
         print(line)
-    write_lines(out / "budget.txt", source.render_budget_text(chain) + lines_extra)
-    return EXIT_OK
+    write_lines(out / "budget.txt", table + lines_extra)
+    return BudgetFigures(source.chain_efficiency(chain), mode_match, inferred, brightness)
 
 
-def cmd_detector(cfg: RunConfig, sweep: tuple[float, float, float], out: Path) -> int:
+def cmd_detector(cfg: RunConfig, sweep: tuple[float, float, float],
+                 out: Path) -> list[float]:
+    """Detector curve over an overbias sweep; returns the swept voltages."""
     lo, hi, step = sweep
     if hi < lo or step <= 0:
         raise ConfigError(f"bad overbias sweep {lo}:{hi}:{step}")
@@ -131,11 +148,11 @@ def cmd_detector(cfg: RunConfig, sweep: tuple[float, float, float], out: Path) -
     detector.write_detector_csv(cfg.apd, volts, out / "detector_curve.csv")
     print(f"detector curve: {len(volts)} points over {lo}..{hi} V "
           f"-> {out / 'detector_curve.csv'}")
-    return EXIT_OK
+    return volts
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, seed: int | None, triggers: int | None,
-                 analytic: bool, overbias: float | None) -> int:
+                 analytic: bool, overbias: float | None) -> montecarlo.CoincidenceHistogram:
     experiment = cfg.experiment
     if triggers is not None:
         experiment = dataclasses.replace(experiment, n_triggers=triggers, duration_s=None)
@@ -157,41 +174,31 @@ def cmd_simulate(cfg: RunConfig, out: Path, seed: int | None, triggers: int | No
           f"(best 4-ns window sum {format_number(window)})")
     print(f"trigger rate {format_number(hist.trigger_rate_hz)} /s, "
           f"discard fraction {format_number(hist.discard_fraction)}")
-    return EXIT_OK
+    return hist
 
 
-def _repro_figures(cfg: RunConfig, seed: int) -> list[dict]:
-    """Compute every reference figure and its acceptance band."""
-    solution = qpm.solve_signal(cfg.crystal, cfg.pump_wavelength_nm, cfg.temperature_c,
-                                bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
+def _repro_figures(cfg: RunConfig, seed: int, curve: qpm.TuningCurve,
+                   solution: qpm.PhaseMatchPoint, fwhm: tuple[float, float],
+                   budget: BudgetFigures,
+                   sim: montecarlo.CoincidenceHistogram) -> list[dict]:
+    """Every reference figure with its acceptance band, from the subcommands'
+    results plus the two computations only repro needs."""
     period = qpm.calibrate_period(cfg.crystal, cfg.pump_wavelength_nm,
                                   solution.signal_nm, cfg.temperature_c,
                                   model=cfg.sellmeier)
-    curve = qpm.tuning_curve(cfg.crystal, cfg.pump_wavelength_nm, (140.0, 185.0), 5.0,
-                             bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
     _, d_idler = qpm.tuning_coefficient(curve, 160.0)
-    width_nm, width_ghz = qpm.fwhm_bandwidth(cfg.crystal, solution, model=cfg.sellmeier)
-
-    chain = _detection_chain(cfg)
-    eta_chain = source.chain_efficiency(chain)
-    coupling = cfg.experiment.idler_chain.get("coupling_matching")
-    fiber = cfg.experiment.signal_chain.get("fiber_coupling")
-    mode_match = source.mode_matching_ratio(coupling, fiber) \
-        if coupling is not None and fiber is not None else float("nan")
-    signal_detection = source.LossChain(
-        stages=cfg.experiment.signal_chain.stages + (("spcm_qe", cfg.spcm.efficiency),))
-    inferred = source.infer_generation_rate(
-        cfg.budget.detected_signal_rate_per_mw, signal_detection)
-    brightness = source.spectral_brightness(
-        cfg.budget.freespace_pair_rate_per_mw, cfg.budget.signal_bandwidth_ghz)
-
-    sim = montecarlo.simulate(cfg.experiment, cfg.apd, cfg.spcm, cfg.overbias_v, seed)
+    width_nm, width_ghz = fwhm
     dark_free = dataclasses.replace(cfg.apd, dark_prob_per_gate=0.0)
     sim_pairs = montecarlo.simulate(cfg.experiment, dark_free, cfg.spcm,
                                     cfg.overbias_v, seed)
     pair_fraction = (montecarlo.coincidence_window_sum(sim_pairs, 4.0)
                      / sim_pairs.eta_c_total) if sim_pairs.eta_c_total > 0 else 0.0
 
+    mode_matching = {"name": "mode_matching", "achieved": budget.mode_matching,
+                     "lo": 0.35, "hi": 0.37}
+    if budget.mode_matching is None:
+        mode_matching["reason"] = ("the chains lack a coupling_matching or "
+                                   "fiber_coupling stage")
     return [
         {"name": "signal_nm", "achieved": solution.signal_nm, "lo": 803.0, "hi": 813.0},
         {"name": "idler_nm", "achieved": solution.idler_nm, "lo": 1544.0, "hi": 1574.0},
@@ -199,12 +206,13 @@ def _repro_figures(cfg: RunConfig, seed: int) -> list[dict]:
         {"name": "idler_tuning_nm_per_c", "achieved": abs(d_idler), "lo": 0.65, "hi": 1.95},
         {"name": "fwhm_nm", "achieved": width_nm, "lo": 1.008, "hi": 1.512},
         {"name": "fwhm_ghz", "achieved": width_ghz, "lo": 120.0, "hi": 180.0},
-        {"name": "conditional_chain_efficiency", "achieved": eta_chain,
+        {"name": "conditional_chain_efficiency", "achieved": budget.chain_efficiency,
          "lo": 0.0290, "hi": 0.0322},
-        {"name": "mode_matching", "achieved": mode_match, "lo": 0.35, "hi": 0.37},
-        {"name": "inferred_singlemode_rate_per_mw", "achieved": inferred,
+        mode_matching,
+        {"name": "inferred_singlemode_rate_per_mw", "achieved": budget.inferred_rate_per_mw,
          "lo": 1.17e5, "hi": 1.44e5},
-        {"name": "spectral_brightness", "achieved": brightness, "lo": 8.8e4, "hi": 9.8e4},
+        {"name": "spectral_brightness", "achieved": budget.brightness,
+         "lo": 8.8e4, "hi": 9.8e4},
         {"name": "eta_c_total_simulated", "achieved": sim.eta_c_total,
          "lo": 0.0290, "hi": 0.0322},
         {"name": "pair_fraction_best_4ns", "achieved": pair_fraction,
@@ -212,27 +220,30 @@ def _repro_figures(cfg: RunConfig, seed: int) -> list[dict]:
     ]
 
 
-def cmd_repro(cfg: RunConfig, out: Path, seed: int | None) -> int:
+def cmd_repro(cfg: RunConfig, out: Path, seed: int | None) -> dict:
+    """Run every subcommand, then write the achieved-vs-target manifest."""
     run_seed = _require_seed(cfg, seed)
-    cmd_tune(cfg, (140.0, 185.0, 5.0), out)
-    cmd_spectrum(cfg, cfg.temperature_c, out)
-    cmd_budget(cfg, out)
+    curve = cmd_tune(cfg, (140.0, 185.0, 5.0), out)
+    solution, fwhm = cmd_spectrum(cfg, cfg.temperature_c, out)
+    budget = cmd_budget(cfg, out)
     cmd_detector(cfg, (0.5, 4.0, 0.1), out)
-    cmd_simulate(cfg, out, run_seed, None, False, None)
+    sim = cmd_simulate(cfg, out, run_seed, None, False, None)
 
-    figures = _repro_figures(cfg, run_seed)
+    figures = _repro_figures(cfg, run_seed, curve, solution, fwhm, budget, sim)
     for fig in figures:
-        fig["pass"] = bool(fig["lo"] <= fig["achieved"] <= fig["hi"])
+        fig["pass"] = fig["achieved"] is not None and fig["lo"] <= fig["achieved"] <= fig["hi"]
     manifest = {"figures": figures, "all_pass": all(f["pass"] for f in figures)}
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2, allow_nan=False)
         fh.write("\n")
     for fig in figures:
         status = "PASS" if fig["pass"] else "FAIL"
-        print(f"{status} {fig['name']}: {fig['achieved']:.6g} "
+        achieved = (f"{fig['achieved']:.6g}" if fig["achieved"] is not None
+                    else f"n/a, {fig['reason']}")
+        print(f"{status} {fig['name']}: {achieved} "
               f"(target {fig['lo']:.6g} .. {fig['hi']:.6g})")
     print(f"manifest -> {out / 'manifest.json'}")
-    return EXIT_OK
+    return manifest
 
 
 def build_parser() -> _Parser:
@@ -281,27 +292,28 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config)
         out = _out_dir(cfg, args.out)
         if args.command == "tune":
-            return cmd_tune(cfg, _parse_range(args.temp_range), out)
-        if args.command == "spectrum":
+            cmd_tune(cfg, _parse_range(args.temp_range), out)
+        elif args.command == "spectrum":
             temp = (_parse_range(args.temp_range)[0] if args.temp_range is not None
                     else cfg.temperature_c)
-            return cmd_spectrum(cfg, temp, out)
-        if args.command == "budget":
-            return cmd_budget(cfg, out)
-        if args.command == "detector-curve":
-            return cmd_detector(cfg, _parse_range(args.overbias), out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.seed, args.triggers,
-                                args.analytic, args.overbias)
-        if args.command == "repro":
-            return cmd_repro(cfg, out, args.seed)
-        raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, ValueError) as exc:
+            cmd_spectrum(cfg, temp, out)
+        elif args.command == "budget":
+            cmd_budget(cfg, out)
+        elif args.command == "detector-curve":
+            cmd_detector(cfg, _parse_range(args.overbias), out)
+        elif args.command == "simulate":
+            cmd_simulate(cfg, out, args.seed, args.triggers, args.analytic, args.overbias)
+        elif args.command == "repro":
+            cmd_repro(cfg, out, args.seed)
+        else:
+            raise ConfigError(f"unknown command {args.command}")
+    except ConfigError as exc:
         print(f"pairsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"pairsim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

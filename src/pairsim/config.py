@@ -1,5 +1,12 @@
-"""Run configuration: one INI file with a section per subsystem, from which
-all model objects are built.  Command-line flags override file values.
+"""Configuration files: the one INI loader and the three kinds of file it reads.
+
+A run configuration has one section per subsystem; its ``model_file`` keys
+name a Sellmeier coefficient file and an APD model file (a path, or
+``builtin:<name>`` for shipped data).  Each kind of file is a schema, a table
+of sections whose fields are (key, parser, default) entries; that table is
+the only place an INI key is named.  Unknown sections or keys, missing
+required keys and values that do not parse are a ConfigError naming the
+file, the section and the key.  Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -8,14 +15,17 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .detector import GatedApdModel, SpcmModel, load_apd
-from .dispersion import SellmeierModel, load_sellmeier
+from .detector import GatedApdModel, SpcmModel
+from .dispersion import SellmeierModel
 from .errors import ConfigError
 from .montecarlo import ExperimentConfig
-from .qpm import CrystalSpec
+from .qpm import DEFAULT_SIGNAL_BRACKET_NM, CrystalSpec
 from .source import LossChain
 
 DEFAULT_CONFIG = "builtin:reference_setup"
+
+# Default of a key that the file must set.
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,31 @@ class RunConfig:
     out_dir: str
 
 
-def _parse_chain(text: str) -> LossChain:
+def _optional(parse):
+    """Parser for a value whose empty form means unset (None)."""
+    return lambda text: parse(text) if text else None
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ConfigError(f"not a boolean: '{text}'")
+    return states[text.lower()]
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers, possibly continued over several lines."""
+    return tuple(float(tok) for tok in text.split(","))
+
+
+def _pair(text: str) -> tuple[float, float]:
+    values = _floats(text)
+    if len(values) != 2:
+        raise ConfigError(f"expected two comma-separated numbers, got '{text}'")
+    return values
+
+
+def _chain(text: str) -> LossChain:
     """Parse 'name: eff, name: eff' into a LossChain."""
     stages = []
     for item in text.split(","):
@@ -61,91 +95,163 @@ def _parse_chain(text: str) -> LossChain:
     return LossChain(stages=tuple(stages))
 
 
-def _parse_reflectivity(text: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        band, _, value = item.partition(":")
-        out[band.strip()] = float(value)
-    return out
+def _knots(text: str) -> tuple[tuple[float, float], ...]:
+    """One 'overbias_V: efficiency' pair per line."""
+    pairs = (line.split(":") for line in text.strip().splitlines())
+    return tuple((float(volt), float(eff)) for volt, eff in pairs)
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"expected two comma-separated numbers, got '{text}'")
-    return parts[0], parts[1]
+def _read_ini(source: str, kind: str, schema: dict) -> dict[str, dict]:
+    """Parse one INI file (a path, or ``builtin:<name>``) against its schema.
+
+    ``schema`` maps each section to its (key, parser, default) fields; every
+    section is required.  Returns {section: {key: value}} with defaults
+    filled in.
+    """
+    try:
+        if source.startswith("builtin:"):
+            name = source.split(":", 1)[1]
+            text = resources.files("pairsim.data").joinpath(f"{name}.ini").read_text("utf-8")
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} {source}: {exc}") from exc
+
+    def malformed(problem: str) -> ConfigError:
+        return ConfigError(f"malformed {kind} {source}: {problem}")
+
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        parser.read_string(text, source=source)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise malformed(str(exc)) from exc
+
+    for name in sections:
+        if name not in schema:
+            raise malformed(f"[{name}]: unknown section")
+    values: dict[str, dict] = {}
+    for section, fields in schema.items():
+        if section not in sections:
+            raise malformed(f"[{section}]: missing section")
+        raw = sections[section]
+        known = {key for key, _, _ in fields}
+        for key in raw:
+            if key not in known:
+                raise malformed(f"[{section}] {key}: unknown key")
+        values[section] = {}
+        for key, parse, default in fields:
+            if key not in raw:
+                if default is _REQUIRED:
+                    raise malformed(f"[{section}] {key}: missing required key")
+                values[section][key] = default
+                continue
+            try:
+                values[section][key] = parse(raw[key])
+            except (ValueError, ConfigError) as exc:
+                raise malformed(f"[{section}] {key} = '{raw[key]}': {exc}") from exc
+    return values
+
+
+_SELLMEIER_SCHEMA = {
+    "model": (
+        ("name", str, _REQUIRED),
+        ("version", int, 1),
+        ("coefficients", _floats, _REQUIRED),
+        ("wavelength_range_um", _pair, _REQUIRED),
+        ("temperature_range_c", _pair, _REQUIRED),
+    ),
+}
+
+
+def load_sellmeier(source: str) -> SellmeierModel:
+    """Load a Sellmeier coefficient file (e.g. ``builtin:lithium_niobate_e``)."""
+    return SellmeierModel(**_read_ini(source, "Sellmeier file", _SELLMEIER_SCHEMA)["model"])
+
+
+_APD_SCHEMA = {
+    "apd": (
+        ("gate_length_ns", float, _REQUIRED),
+        ("dark_prob_per_gate", float, _REQUIRED),
+        ("jitter_sigma_ns", float, 1.0),
+        ("edge_mask_ns", float, 3.0),
+        ("edge_mask_enabled", _boolean, False),
+    ),
+    "qe_curve": (("knots", _knots, _REQUIRED),),
+}
+
+
+def load_apd(source: str) -> GatedApdModel:
+    """Load an APD model file (e.g. ``builtin:apd_ingaas``)."""
+    sections = _read_ini(source, "APD model file", _APD_SCHEMA)
+    return GatedApdModel(qe_curve=sections["qe_curve"]["knots"], **sections["apd"])
+
+
+_RUN_SCHEMA = {
+    "run": (
+        ("seed", _optional(int), None),
+        ("out_dir", str, "out"),
+    ),
+    "dispersion": (("model_file", load_sellmeier, _REQUIRED),),
+    "crystal": (
+        ("length_mm", float, _REQUIRED),
+        ("poling_period_um", float, _REQUIRED),
+        ("qpm_order", int, _REQUIRED),
+        ("thermal_expansion_per_c", float, _REQUIRED),
+        ("reference_temp_c", float, _REQUIRED),
+    ),
+    "qpm": (
+        ("pump_wavelength_nm", float, _REQUIRED),
+        ("temperature_c", float, _REQUIRED),
+        ("signal_bracket_nm", _pair, DEFAULT_SIGNAL_BRACKET_NM),
+    ),
+    "apd": (
+        ("model_file", load_apd, _REQUIRED),
+        ("overbias_v", float, _REQUIRED),
+    ),
+    "spcm": (("efficiency", float, _REQUIRED),),
+    "experiment": (
+        ("pump_power_mw", float, _REQUIRED),
+        ("singlemode_pair_rate_per_mw", float, _REQUIRED),
+        ("signal_chain", _chain, _REQUIRED),
+        ("idler_chain", _chain, _REQUIRED),
+        ("gate_open_lead_ns", float, 8.0),
+        ("max_trigger_rate_hz", float, 1.0e4),
+        ("bin_width_ns", float, 2.0),
+        ("window_ns", float, 20.0),
+        ("n_triggers", _optional(int), None),
+        ("duration_s", _optional(float), None),
+    ),
+    "budget": (
+        ("detected_signal_rate_per_mw", float, _REQUIRED),
+        ("freespace_pair_rate_per_mw", float, _REQUIRED),
+        ("signal_bandwidth_ghz", float, _REQUIRED),
+    ),
+}
 
 
 def load_run_config(source: str = DEFAULT_CONFIG) -> RunConfig:
     """Load a run configuration (path, or ``builtin:<name>`` for shipped data)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if source.startswith("builtin:"):
-        name = source.split(":", 1)[1]
-        text = resources.files("pairsim.data").joinpath(f"{name}.ini").read_text("utf-8")
-        parser.read_string(text)
-    else:
-        if not parser.read(source):
-            raise ConfigError(f"cannot read config file: {source}")
-
-    try:
-        run = parser["run"]
-        crystal_sec = parser["crystal"]
-        qpm_sec = parser["qpm"]
-        apd_sec = parser["apd"]
-        spcm_sec = parser["spcm"]
-        exp = parser["experiment"]
-        budget_sec = parser["budget"]
-
-        sellmeier = load_sellmeier(parser["dispersion"]["model_file"])
-        crystal = CrystalSpec(
-            length_mm=crystal_sec.getfloat("length_mm"),
-            poling_period_um=crystal_sec.getfloat("poling_period_um"),
-            qpm_order=crystal_sec.getint("qpm_order"),
-            duty_cycle=crystal_sec.getfloat("duty_cycle"),
-            thermal_expansion_per_c=crystal_sec.getfloat("thermal_expansion_per_c"),
-            reference_temp_c=crystal_sec.getfloat("reference_temp_c"),
-            facet_reflectivity=_parse_reflectivity(crystal_sec.get("facet_reflectivity", "")),
-        )
-        n_triggers = exp.getint("n_triggers") if exp.get("n_triggers") else None
-        duration_s = exp.getfloat("duration_s") if exp.get("duration_s") else None
-        experiment = ExperimentConfig(
-            pump_power_mw=exp.getfloat("pump_power_mw"),
-            singlemode_pair_rate_per_mw=exp.getfloat("singlemode_pair_rate_per_mw"),
-            signal_chain=_parse_chain(exp["signal_chain"]),
-            idler_chain=_parse_chain(exp["idler_chain"]),
-            fiber_delay_ns=exp.getfloat("fiber_delay_ns", 345.0),
-            gate_open_lead_ns=exp.getfloat("gate_open_lead_ns", 8.0),
-            max_trigger_rate_hz=exp.getfloat("max_trigger_rate_hz", 1.0e4),
-            bin_width_ns=exp.getfloat("bin_width_ns", 2.0),
-            window_ns=exp.getfloat("window_ns", 20.0),
-            n_triggers=n_triggers,
-            duration_s=duration_s,
-            pump_waist_um=exp.getfloat("pump_waist_um", 90.0),
-        )
-        budget = BudgetInputs(
-            detected_signal_rate_per_mw=budget_sec.getfloat("detected_signal_rate_per_mw"),
-            freespace_pair_rate_per_mw=budget_sec.getfloat("freespace_pair_rate_per_mw"),
-            signal_bandwidth_ghz=budget_sec.getfloat("signal_bandwidth_ghz"),
-        )
-        return RunConfig(
-            sellmeier=sellmeier,
-            crystal=crystal,
-            pump_wavelength_nm=qpm_sec.getfloat("pump_wavelength_nm"),
-            temperature_c=qpm_sec.getfloat("temperature_c"),
-            signal_bracket_nm=_parse_pair(qpm_sec.get("signal_bracket_nm", "760, 860")),
-            apd=load_apd(apd_sec["model_file"]),
-            overbias_v=apd_sec.getfloat("overbias_v"),
-            spcm=SpcmModel(
-                efficiency=spcm_sec.getfloat("efficiency"),
-                dark_rate_hz=spcm_sec.getfloat("dark_rate_hz", 100.0),
-            ),
-            experiment=experiment,
-            budget=budget,
-            seed=run.getint("seed") if run.get("seed") else None,
-            out_dir=run.get("out_dir", "out"),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed run config {source}: {exc}") from exc
+    sections = _read_ini(source, "run config", _RUN_SCHEMA)
+    qpm, apd = sections["qpm"], sections["apd"]["model_file"]
+    experiment = ExperimentConfig(**sections["experiment"])
+    if experiment.window_ns > apd.gate_length_ns:
+        # Neither the simulator nor its oracle can count past the gate.
+        raise ConfigError(
+            f"run config {source}: [experiment] window_ns = {experiment.window_ns:g} "
+            f"exceeds the {apd.gate_length_ns:g}-ns APD gate")
+    return RunConfig(
+        sellmeier=sections["dispersion"]["model_file"],
+        crystal=CrystalSpec(**sections["crystal"]),
+        pump_wavelength_nm=qpm["pump_wavelength_nm"],
+        temperature_c=qpm["temperature_c"],
+        signal_bracket_nm=qpm["signal_bracket_nm"],
+        apd=apd,
+        overbias_v=sections["apd"]["overbias_v"],
+        spcm=SpcmModel(**sections["spcm"]),
+        experiment=experiment,
+        budget=BudgetInputs(**sections["budget"]),
+        seed=sections["run"]["seed"],
+        out_dir=sections["run"]["out_dir"],
+    )

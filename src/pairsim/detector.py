@@ -1,10 +1,9 @@
 """Statistical models of the gated InGaAs APD counter and the Si SPCM.
 
 The APD model is data-driven: a piecewise-linear quantum-efficiency curve
-over overbias voltage plus per-gate dark probability, exponential
-afterpulse decay, and Gaussian click-time jitter.  Detection takes its
-randomness as an explicit ``numpy.random.Generator`` so simulation shards
-can own independent streams.
+over overbias voltage plus per-gate dark probability and Gaussian
+click-time jitter.  Detection takes its randomness as an explicit
+``numpy.random.Generator`` so simulation shards can own independent streams.
 
 Per gate the generator is consumed in a fixed order regardless of
 outcomes: (1) photon-efficiency uniform, (2) click-time jitter normal,
@@ -13,11 +12,8 @@ outcomes: (1) photon-efficiency uniform, (2) click-time jitter normal,
 
 from __future__ import annotations
 
-import configparser
 import warnings
 from dataclasses import dataclass
-from importlib import resources
-from math import exp
 
 import numpy as np
 
@@ -26,30 +22,12 @@ from .formatting import format_number, write_lines
 
 
 @dataclass(frozen=True)
-class AfterpulseParams:
-    """Exponential trap-decay afterpulse model."""
-
-    amplitude: float
-    trap_lifetime_us: float
-    temperature_scale_per_c: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ConfigError(f"afterpulse amplitude must lie in [0, 1), got {self.amplitude}")
-        if self.trap_lifetime_us <= 0:
-            raise ConfigError(f"trap lifetime must be > 0 us, got {self.trap_lifetime_us}")
-
-
-@dataclass(frozen=True)
 class GatedApdModel:
-    """Gated Geiger-mode APD: QE vs overbias, darks, afterpulsing, timing."""
+    """Gated Geiger-mode APD: QE vs overbias, darks, timing."""
 
-    temperature_c: float
     qe_curve: tuple[tuple[float, float], ...]
     dark_prob_per_gate: float
     gate_length_ns: float
-    afterpulse: AfterpulseParams
-    deadband_ns: float = 10_000.0
     jitter_sigma_ns: float = 1.0
     edge_mask_ns: float = 3.0
     edge_mask_enabled: bool = False
@@ -83,13 +61,10 @@ class SpcmModel:
     """Free-running Si single-photon counting module."""
 
     efficiency: float
-    dark_rate_hz: float = 100.0
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigError(f"SPCM efficiency must lie in [0, 1], got {self.efficiency}")
-        if self.dark_rate_hz < 0:
-            raise ConfigError(f"SPCM dark rate must be >= 0, got {self.dark_rate_hz}")
 
 
 def qe_at_overbias(model: GatedApdModel, overbias_v: float) -> float:
@@ -116,16 +91,6 @@ def dark_prob(model: GatedApdModel, window_ns: float) -> float:
         raise ConfigError(
             f"window {window_ns:g} ns must lie in (0, gate length {model.gate_length_ns:g} ns]")
     return 1.0 - (1.0 - model.dark_prob_per_gate) ** (window_ns / model.gate_length_ns)
-
-
-def afterpulse_prob(params: AfterpulseParams, time_since_last_avalanche_us: float,
-                    degrees_below_reference: float = 0.0) -> float:
-    """p0 * exp(-t/tau), scaled up for operation below the reference
-    temperature (afterpulsing worsens as traps live longer when cold)."""
-    if time_since_last_avalanche_us < 0:
-        raise ConfigError("time since last avalanche must be >= 0")
-    scale = 1.0 + params.temperature_scale_per_c * max(0.0, degrees_below_reference)
-    return params.amplitude * exp(-time_since_last_avalanche_us / params.trap_lifetime_us) * scale
 
 
 def _edge_factor(model: GatedApdModel, offsets_ns: np.ndarray) -> np.ndarray:
@@ -180,57 +145,6 @@ def detect_in_gate_batch(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
     t_click = np.minimum(t_photon, t_dark_won)
     clicked = np.isfinite(t_click)
     return clicked, np.where(clicked, t_click, np.nan)
-
-
-def detect_in_gate(model: GatedApdModel, arrival_offset_ns: float | None,
-                   overbias_v: float,
-                   rng: np.random.Generator) -> tuple[bool, float | None]:
-    """Single-gate detection; see detect_in_gate_batch for the semantics."""
-    offsets = np.array([np.nan if arrival_offset_ns is None else arrival_offset_ns])
-    clicked, times = detect_in_gate_batch(model, offsets, overbias_v, rng)
-    if clicked[0]:
-        return True, float(times[0])
-    return False, None
-
-
-def load_apd(source: str) -> GatedApdModel:
-    """Load an APD model file (path, or ``builtin:<name>`` for shipped data)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if source.startswith("builtin:"):
-        name = source.split(":", 1)[1]
-        text = resources.files("pairsim.data").joinpath(f"{name}.ini").read_text("utf-8")
-        parser.read_string(text)
-    else:
-        if not parser.read(source):
-            raise ConfigError(f"cannot read APD model file: {source}")
-    try:
-        apd = parser["apd"]
-        ap = parser["afterpulse"]
-        knots = []
-        for line in parser["qe_curve"]["knots"].strip().splitlines():
-            volt, eff = line.split(":")
-            knots.append((float(volt), float(eff)))
-        return GatedApdModel(
-            temperature_c=apd.getfloat("temperature_c"),
-            qe_curve=tuple(knots),
-            dark_prob_per_gate=apd.getfloat("dark_prob_per_gate"),
-            gate_length_ns=apd.getfloat("gate_length_ns"),
-            afterpulse=AfterpulseParams(
-                amplitude=ap.getfloat("amplitude"),
-                trap_lifetime_us=ap.getfloat("trap_lifetime_us"),
-                temperature_scale_per_c=ap.getfloat("temperature_scale_per_c", 0.0),
-            ),
-            deadband_ns=apd.getfloat("deadband_ns", 10_000.0),
-            jitter_sigma_ns=apd.getfloat("jitter_sigma_ns", 1.0),
-            edge_mask_ns=apd.getfloat("edge_mask_ns", 3.0),
-            edge_mask_enabled=apd.getboolean("edge_mask_enabled", False),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed APD model file {source}: {exc}") from exc
-
-
-def default_apd() -> GatedApdModel:
-    return load_apd("builtin:apd_ingaas")
 
 
 def write_detector_csv(model: GatedApdModel, sweep_v: list[float], path) -> None:

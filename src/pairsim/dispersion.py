@@ -1,5 +1,4 @@
-"""Temperature-dependent refractive index of congruent LiNbO3 and simple
-group-delay bookkeeping for fiber delay lines.
+"""Temperature-dependent refractive index of congruent LiNbO3.
 
 The shipped model is the extraordinary-index Sellmeier fit of Jundt
 (Opt. Lett. 22, 1553 (1997)), valid for 0.40-5.00 um and 20-250 degC.
@@ -9,10 +8,8 @@ of the same functional form can be swapped in without touching code.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from math import sqrt
 
 from .errors import ConfigError, ValidityRangeError
@@ -53,24 +50,6 @@ class SellmeierModel:
         tlo, thi = self.temperature_range_c
         if not tlo < thi:
             raise ConfigError(f"model '{self.name}': bad temperature range {tlo}..{thi} C")
-
-
-# Standard single-mode fiber near 1.55 um.
-DEFAULT_FIBER_GROUP_INDEX = 1.468
-
-
-@dataclass(frozen=True)
-class DelayMedium:
-    """A dispersionless delay line: group index and physical length."""
-
-    length_m: float
-    group_index: float = DEFAULT_FIBER_GROUP_INDEX
-
-    def __post_init__(self):
-        if self.group_index < 1.0:
-            raise ConfigError(f"group_index must be >= 1, got {self.group_index}")
-        if self.length_m < 0.0:
-            raise ConfigError(f"length must be >= 0 m, got {self.length_m}")
 
 
 def _check_range(model: SellmeierModel, wavelength_um: float, temperature_c: float):
@@ -114,42 +93,8 @@ def dn_dwavelength(model: SellmeierModel, wavelength_um: float, temperature_c: f
     return (n_hi - n_lo) / (2.0 * h)
 
 
-def group_delay(medium: DelayMedium) -> float:
-    """Propagation delay in seconds: length * group_index / c."""
-    return medium.length_m * medium.group_index / C_M_PER_S
-
-
-def load_sellmeier(source: str) -> SellmeierModel:
-    """Load a coefficient file.
-
-    ``source`` is a filesystem path, or ``builtin:<name>`` for a file
-    shipped under ``pairsim/data`` (e.g. ``builtin:lithium_niobate_e``).
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if source.startswith("builtin:"):
-        name = source.split(":", 1)[1]
-        text = resources.files("pairsim.data").joinpath(f"{name}.ini").read_text("utf-8")
-        parser.read_string(text)
-    else:
-        if not parser.read(source):
-            raise ConfigError(f"cannot read Sellmeier file: {source}")
-    try:
-        sec = parser["model"]
-        coeffs = tuple(float(tok) for tok in sec["coefficients"].replace("\n", " ").split(","))
-        wlo, whi = (float(tok) for tok in sec["wavelength_range_um"].split(","))
-        tlo, thi = (float(tok) for tok in sec["temperature_range_c"].split(","))
-        return SellmeierModel(
-            name=sec["name"],
-            coefficients=coeffs,
-            wavelength_range_um=(wlo, whi),
-            temperature_range_c=(tlo, thi),
-            version=int(sec.get("version", "1")),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed Sellmeier file {source}: {exc}") from exc
-
-
 @lru_cache(maxsize=None)
 def default_model() -> SellmeierModel:
     """The shipped congruent-LiNbO3 extraordinary-index model."""
+    from .config import load_sellmeier  # deferred: config imports this module
     return load_sellmeier("builtin:lithium_niobate_e")

@@ -37,30 +37,27 @@ class ExperimentConfig:
     ``signal_chain`` carries the optical losses up to the SPCM (the SPCM
     efficiency itself lives in SpcmModel); ``idler_chain`` carries the
     idler losses up to the APD, excluding the APD quantum efficiency.
-    ``pump_waist_um`` is recorded for provenance and plays no role in the
-    rate model.  Exactly one of ``n_triggers`` / ``duration_s`` is set.
+    Exactly one of ``n_triggers`` / ``duration_s`` is set.  The histogram
+    summary sums the best DEFAULT_COINCIDENCE_WINDOW_NS window, so that
+    window must be a whole number of bins and fit in ``window_ns``.
     """
 
     pump_power_mw: float
     singlemode_pair_rate_per_mw: float
     signal_chain: LossChain
     idler_chain: LossChain
-    fiber_delay_ns: float = 345.0
     gate_open_lead_ns: float = 8.0
     max_trigger_rate_hz: float = 1.0e4
     bin_width_ns: float = 2.0
     window_ns: float = 20.0
     n_triggers: int | None = None
     duration_s: float | None = None
-    pump_waist_um: float = 90.0
 
     def __post_init__(self):
         if self.pump_power_mw < 0:
             raise ConfigError(f"pump power must be >= 0 mW, got {self.pump_power_mw}")
         if self.singlemode_pair_rate_per_mw < 0:
             raise ConfigError("single-mode pair rate must be >= 0")
-        if self.fiber_delay_ns < 0:
-            raise ConfigError("fiber delay must be >= 0 ns")
         if self.gate_open_lead_ns < 0:
             raise ConfigError("gate-open lead must be >= 0 ns")
         if self.max_trigger_rate_hz <= 0:
@@ -72,6 +69,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"bin width {self.bin_width_ns} ns must divide the window "
                 f"{self.window_ns} ns exactly")
+        coincidence_bins = DEFAULT_COINCIDENCE_WINDOW_NS / self.bin_width_ns
+        if (abs(coincidence_bins - round(coincidence_bins)) > 1e-9
+                or DEFAULT_COINCIDENCE_WINDOW_NS > self.window_ns):
+            raise ConfigError(
+                f"the {DEFAULT_COINCIDENCE_WINDOW_NS:g}-ns coincidence window must be a "
+                f"whole number of {self.bin_width_ns:g}-ns bins within the "
+                f"{self.window_ns:g}-ns window")
         if (self.n_triggers is None) == (self.duration_s is None):
             raise ConfigError("set exactly one of n_triggers / duration_s")
         if self.n_triggers is not None and self.n_triggers < 1:

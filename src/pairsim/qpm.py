@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import pi, sin
-from typing import Mapping
 
 from scipy.optimize import brentq
 
@@ -41,17 +40,14 @@ class CrystalSpec:
 
     ``poling_period_um`` is the period at ``reference_temp_c``; thermal
     expansion scales it linearly with temperature (set the coefficient
-    to 0 to disable).  ``facet_reflectivity`` maps a band label to a
-    per-surface reflectivity and is carried as data only.
+    to 0 to disable).
     """
 
     length_mm: float
     poling_period_um: float
     qpm_order: int = 3
-    duty_cycle: float = 0.5
     thermal_expansion_per_c: float = 1.5e-5
     reference_temp_c: float = 25.0
-    facet_reflectivity: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.length_mm <= 0:
@@ -60,11 +56,6 @@ class CrystalSpec:
             raise ConfigError(f"poling period must be > 0 um, got {self.poling_period_um}")
         if self.qpm_order < 1 or self.qpm_order % 2 == 0:
             raise ConfigError(f"QPM order must be a positive odd integer, got {self.qpm_order}")
-        if not 0 < self.duty_cycle < 1:
-            raise ConfigError(f"duty cycle must lie in (0, 1), got {self.duty_cycle}")
-        for band, r in self.facet_reflectivity.items():
-            if not 0 <= r <= 1:
-                raise ConfigError(f"facet reflectivity '{band}' must lie in [0, 1], got {r}")
 
     def period_at(self, temperature_c: float) -> float:
         """Poling period (um) at the given temperature."""

@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import pi, sin
 
 from .errors import ConfigError
 from .formatting import format_number, write_lines
-
-# Intrinsic d33 of lithium niobate (pm/V, 1.06-um reference).
-DEFAULT_D33_PM_PER_V = 25.2
 
 
 @dataclass(frozen=True)
@@ -37,40 +33,6 @@ class LossChain:
             if stage_name == name:
                 return eff
         return None
-
-    def prepend(self, name: str, efficiency: float) -> "LossChain":
-        return LossChain(stages=((name, efficiency),) + self.stages)
-
-
-@dataclass(frozen=True)
-class RateFigures:
-    """Pair rate, bandwidth, and the spectral brightness they imply.
-
-    Brightness is derived from the other two when omitted; when supplied
-    it must be consistent with them.
-    """
-
-    pair_rate_per_mw: float
-    bandwidth_ghz: float
-    spectral_brightness: float | None = None
-
-    def __post_init__(self):
-        if self.pair_rate_per_mw < 0 or self.bandwidth_ghz < 0:
-            raise ConfigError("rate figures must be nonnegative")
-        if self.spectral_brightness is None:
-            if self.bandwidth_ghz <= 0:
-                raise ConfigError("cannot derive brightness without a positive bandwidth")
-            object.__setattr__(self, "spectral_brightness",
-                               self.pair_rate_per_mw / self.bandwidth_ghz)
-            return
-        if self.spectral_brightness < 0:
-            raise ConfigError("rate figures must be nonnegative")
-        if self.bandwidth_ghz > 0:
-            implied = self.pair_rate_per_mw / self.bandwidth_ghz
-            if abs(self.spectral_brightness - implied) > 1e-9 * max(implied, 1.0):
-                raise ConfigError(
-                    f"spectral brightness {self.spectral_brightness:g} inconsistent "
-                    f"with rate/bandwidth ({implied:g})")
 
 
 def chain_efficiency(chain: LossChain) -> float:
@@ -109,19 +71,6 @@ def mode_matching_ratio(coupling_and_matching: float, fiber_coupling: float) -> 
             stacklevel=2,
         )
     return ratio
-
-
-def d_eff_qpm(order: int, duty_cycle: float,
-              d33_pm_per_v: float = DEFAULT_D33_PM_PER_V) -> float:
-    """Ideal grating Fourier amplitude |(2/(m*pi)) * sin(m*pi*D)| times d33."""
-    if order < 1 or order % 2 == 0:
-        raise ConfigError(
-            f"QPM order must be a positive odd integer, got {order} "
-            "(even orders vanish at 50% duty cycle)"
-        )
-    if not 0 < duty_cycle < 1:
-        raise ConfigError(f"duty cycle must lie in (0, 1), got {duty_cycle}")
-    return abs(2.0 / (order * pi) * sin(order * pi * duty_cycle)) * d33_pm_per_v
 
 
 def budget_rows(chain: LossChain) -> list[tuple[str, float, float]]:

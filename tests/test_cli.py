@@ -1,19 +1,20 @@
 import json
 import shutil
 import subprocess
+from importlib import resources
 
 import pytest
 
+from pairsim import montecarlo
 from pairsim.cli import main
 
 
-def _read_default_ini() -> str:
-    from importlib import resources
-    return resources.files("pairsim.data").joinpath("reference_setup.ini").read_text("utf-8")
+def _builtin_ini(name: str) -> str:
+    return resources.files("pairsim.data").joinpath(f"{name}.ini").read_text("utf-8")
 
 
 def _variant_config(tmp_path, **replacements):
-    text = _read_default_ini()
+    text = _builtin_ini("reference_setup")
     for old, new in replacements.items():
         assert old in text, old
         text = text.replace(old, new)
@@ -183,3 +184,73 @@ def test_usage_error_exit_code_is_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["tune", "--bogus"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("temp_range", ["abc", "140:nan:5"])
+def test_tune_non_numeric_range_exits_1(tmp_path, capsys, temp_range):
+    assert main(["tune", "--temp-range", temp_range, "--out", str(tmp_path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,old,new,named", [
+    ("run", "bin_width_ns = 2.0", "bin_width = 1.0", "bin_width"),
+    ("run", "[budget]", "[budgets]", "[budgets]"),
+    ("lithium_niobate_e", "version = 1", "versoin = 1", "versoin"),
+    ("apd_ingaas", "jitter_sigma_ns = 1.0", "jitter_ns = 1.0", "jitter_ns"),
+])
+def test_unknown_key_or_section_exits_1(tmp_path, capsys, kind, old, new, named):
+    replacements = {old: new}
+    if kind != "run":
+        model = tmp_path / f"{kind}.ini"
+        text = _builtin_ini(kind)
+        assert old in text, old
+        model.write_text(text.replace(old, new), encoding="utf-8")
+        replacements = {f"builtin:{kind}": str(model)}
+    cfg = _variant_config(tmp_path, **replacements)
+    assert main(["budget", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert named in err and ("unknown key" in err or "unknown section" in err)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("window_ns = 20.0", "window_ns = 24.0"),        # past the 20-ns gate
+    ("bin_width_ns = 2.0\nwindow_ns = 20.0",          # 4 ns is not whole 3-ns bins
+     "bin_width_ns = 3.0\nwindow_ns = 18.0"),
+    ("window_ns = 20.0", "window_ns = 2.0"),          # 4 ns is wider than the window
+])
+def test_unrepresentable_experiment_exits_1_before_sampling(tmp_path, capsys, monkeypatch,
+                                                            old, new):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("simulate ran")
+    monkeypatch.setattr(montecarlo, "simulate", no_sampling)
+    cfg = _variant_config(tmp_path, **{old: new})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repro_simulates_twice(tmp_path, monkeypatch):
+    calls = []
+    real = montecarlo.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "simulate", counting)
+    cfg = _variant_config(tmp_path, **{"n_triggers = 1000000": "n_triggers = 10000"})
+    assert main(["repro", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+
+
+def test_repro_manifest_without_mode_matching_stages_is_valid_json(tmp_path):
+    cfg = _variant_config(tmp_path, **{
+        "n_triggers = 1000000": "n_triggers = 10000",
+        "coupling_matching: 0.18": "coupling: 0.18"})
+    out = tmp_path / "out"
+    assert main(["repro", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"),
+                          parse_constant=lambda name: pytest.fail(f"bare {name}"))
+    assert manifest["all_pass"] is False
+    (fig,) = [f for f in manifest["figures"] if f["name"] == "mode_matching"]
+    assert fig["achieved"] is None and fig["pass"] is False and fig["reason"]

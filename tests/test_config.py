@@ -15,7 +15,6 @@ model_file = builtin:lithium_niobate_e
 length_mm = 20.0
 poling_period_um = 21.6
 qpm_order = 3
-duty_cycle = 0.5
 thermal_expansion_per_c = 1.5e-5
 reference_temp_c = 25.0
 
@@ -52,12 +51,9 @@ def test_shipped_reference_config_loads(run_config):
     assert run_config.overbias_v == 3.7
     assert run_config.spcm.efficiency == 0.54
     assert run_config.experiment.n_triggers == 1_000_000
-    assert run_config.experiment.fiber_delay_ns == 345.0
-    assert run_config.experiment.pump_waist_um == 90.0
     assert run_config.seed == 1
     assert run_config.signal_bracket_nm == (760.0, 860.0)
     assert run_config.budget.signal_bandwidth_ghz == 150.0
-    assert run_config.crystal.facet_reflectivity["532nm"] == 0.08
 
 
 def test_chain_stage_names_from_file(run_config):
@@ -72,7 +68,6 @@ def test_minimal_config_with_defaults(tmp_path):
     assert cfg.seed == 7
     assert cfg.experiment.gate_open_lead_ns == 8.0
     assert cfg.experiment.bin_width_ns == 2.0
-    assert cfg.crystal.facet_reflectivity == {}
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -101,3 +96,26 @@ def test_unresolvable_model_file_is_config_error(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ConfigError):
         load_run_config(str(path))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("length_mm = 20.0\n", "", r"\[crystal\] length_mm: missing required key"),
+    ("qpm_order = 3", "qpm_order = three", r"\[crystal\] qpm_order = 'three'"),
+    ("seed = 7", "seed = 7\nsede = 8", r"\[run\] sede: unknown key"),
+])
+def test_strict_parsing_names_file_section_and_key(tmp_path, old, new, message):
+    path = tmp_path / "strict.ini"
+    path.write_text(MINIMAL.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as excinfo:
+        load_run_config(str(path))
+    assert str(path) in str(excinfo.value)
+
+
+def test_empty_values_mean_unset(tmp_path):
+    path = tmp_path / "unset.ini"
+    path.write_text(MINIMAL.replace("seed = 7", "seed =")
+                    .replace("n_triggers = 1000", "n_triggers =\nduration_s = 2.0"),
+                    encoding="utf-8")
+    cfg = load_run_config(str(path))
+    assert cfg.seed is None
+    assert cfg.experiment.n_triggers is None and cfg.experiment.duration_s == 2.0

@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pairsim.detector import (AfterpulseParams, GatedApdModel, SpcmModel,
-                              afterpulse_prob, dark_prob, default_apd,
-                              detect_in_gate, detect_in_gate_batch,
-                              effective_efficiency, load_apd, qe_at_overbias,
-                              write_detector_csv)
+from pairsim.config import load_apd
+from pairsim.detector import (GatedApdModel, SpcmModel, dark_prob, detect_in_gate_batch,
+                              effective_efficiency, qe_at_overbias, write_detector_csv)
 from pairsim.errors import ConfigError
 
 # Frozen hand evaluation of 1 - (1 - 1.1e-3)^(2/20).
@@ -21,11 +19,9 @@ def _rng(seed):
 
 def _simple_apd(qe=1.0, dark=0.0, jitter=0.0, gate=20.0, **kwargs):
     return GatedApdModel(
-        temperature_c=-50.0,
         qe_curve=((0.5, qe), (4.0, qe)),
         dark_prob_per_gate=dark,
         gate_length_ns=gate,
-        afterpulse=AfterpulseParams(amplitude=0.05, trap_lifetime_us=1.5),
         jitter_sigma_ns=jitter,
         **kwargs,
     )
@@ -62,22 +58,18 @@ def test_out_of_span_clamps_with_warning(apd):
 
 
 def test_curve_invariants_enforced():
-    ap = AfterpulseParams(amplitude=0.05, trap_lifetime_us=1.5)
     with pytest.raises(ConfigError, match="knots"):
-        GatedApdModel(temperature_c=-50, qe_curve=(), dark_prob_per_gate=0.001,
-                      gate_length_ns=20.0, afterpulse=ap)
+        GatedApdModel(qe_curve=(), dark_prob_per_gate=0.001, gate_length_ns=20.0)
     with pytest.raises(ConfigError, match="increasing"):
-        GatedApdModel(temperature_c=-50, qe_curve=((1.0, 0.1), (1.0, 0.2)),
-                      dark_prob_per_gate=0.001, gate_length_ns=20.0, afterpulse=ap)
+        GatedApdModel(qe_curve=((1.0, 0.1), (1.0, 0.2)),
+                      dark_prob_per_gate=0.001, gate_length_ns=20.0)
     with pytest.raises(ConfigError, match="nondecreasing"):
-        GatedApdModel(temperature_c=-50, qe_curve=((1.0, 0.2), (2.0, 0.1)),
-                      dark_prob_per_gate=0.001, gate_length_ns=20.0, afterpulse=ap)
+        GatedApdModel(qe_curve=((1.0, 0.2), (2.0, 0.1)),
+                      dark_prob_per_gate=0.001, gate_length_ns=20.0)
     with pytest.raises(ConfigError):
-        GatedApdModel(temperature_c=-50, qe_curve=((1.0, 1.2),),
-                      dark_prob_per_gate=0.001, gate_length_ns=20.0, afterpulse=ap)
+        GatedApdModel(qe_curve=((1.0, 1.2),), dark_prob_per_gate=0.001, gate_length_ns=20.0)
     with pytest.raises(ConfigError):
-        GatedApdModel(temperature_c=-50, qe_curve=((1.0, 0.2),),
-                      dark_prob_per_gate=1.0, gate_length_ns=20.0, afterpulse=ap)
+        GatedApdModel(qe_curve=((1.0, 0.2),), dark_prob_per_gate=1.0, gate_length_ns=20.0)
 
 
 def test_dark_prob_full_gate(apd):
@@ -110,44 +102,12 @@ def test_dark_prob_thinning_consistency(apd):
         assert combined == pytest.approx(dark_prob(apd, w1 + w2), abs=1e-12)
 
 
-def test_afterpulse_negligible_at_100khz_gating(apd):
-    # 100-kHz gating leaves 10 us between gates
-    assert afterpulse_prob(apd.afterpulse, 10.0) < 1e-4
-
-
-def test_afterpulse_amplitude_at_zero_delay(apd):
-    assert afterpulse_prob(apd.afterpulse, 0.0) == apd.afterpulse.amplitude
-
-
-def test_afterpulse_monotone_decay(apd):
-    times = np.linspace(0.0, 20.0, 50)
-    probs = [afterpulse_prob(apd.afterpulse, t) for t in times]
-    assert all(b < a for a, b in zip(probs, probs[1:]))
-
-
-def test_afterpulse_visible_at_mhz_gating(apd):
-    assert afterpulse_prob(apd.afterpulse, 1.0) > 1e-2
-
-
-def test_afterpulse_grows_below_reference_temperature(apd):
-    base = afterpulse_prob(apd.afterpulse, 2.0)
-    colder = afterpulse_prob(apd.afterpulse, 2.0, degrees_below_reference=10.0)
-    assert colder == pytest.approx(base * (1.0 + 10.0 * apd.afterpulse.temperature_scale_per_c))
-
-
-def test_afterpulse_params_invariants():
-    with pytest.raises(ConfigError):
-        AfterpulseParams(amplitude=1.0, trap_lifetime_us=1.0)
-    with pytest.raises(ConfigError):
-        AfterpulseParams(amplitude=0.1, trap_lifetime_us=0.0)
-
-
 def test_detect_deterministic_limit():
     model = _simple_apd(qe=1.0, dark=0.0, jitter=0.0)
     rng = _rng(42)
     for _ in range(10):
-        clicked, t = detect_in_gate(model, 5.0, 1.0, rng)
-        assert clicked and t == 5.0
+        clicked, t = detect_in_gate_batch(model, np.array([5.0]), 1.0, rng)
+        assert clicked[0] and t[0] == 5.0
 
 
 def test_detect_never_clicks_when_dead():
@@ -206,9 +166,9 @@ def test_detect_seeded_stream_is_bit_reproducible(apd):
 
 def test_detect_validates_arrival_offsets(apd):
     with pytest.raises(ConfigError):
-        detect_in_gate(apd, 25.0, 3.7, _rng(1))
+        detect_in_gate_batch(apd, np.array([25.0]), 3.7, _rng(1))
     with pytest.raises(ConfigError):
-        detect_in_gate(apd, -1.0, 3.7, _rng(1))
+        detect_in_gate_batch(apd, np.array([-1.0]), 3.7, _rng(1))
 
 
 def test_no_photon_gate_only_darks(apd):
@@ -240,29 +200,26 @@ def test_edge_mask_disabled_by_default(apd):
 
 
 def test_builtin_model_loads(apd):
-    again = default_apd()
+    again = load_apd("builtin:apd_ingaas")
     assert again == apd
     assert again.gate_length_ns == 20.0
     assert again.dark_prob_per_gate == 1.1e-3
-    assert again.temperature_c == -50.0
 
 
 def test_loader_rejects_missing_and_malformed(tmp_path):
     with pytest.raises(ConfigError):
         load_apd(str(tmp_path / "nope.ini"))
     bad = tmp_path / "bad.ini"
-    bad.write_text("[apd]\ntemperature_c = -50\n", encoding="utf-8")
+    bad.write_text("[apd]\ngate_length_ns = 20\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_apd(str(bad))
 
 
 def test_spcm_model_invariants():
-    spcm = SpcmModel(efficiency=0.54, dark_rate_hz=100.0)
+    spcm = SpcmModel(efficiency=0.54)
     assert spcm.efficiency == 0.54
     with pytest.raises(ConfigError):
         SpcmModel(efficiency=1.5)
-    with pytest.raises(ConfigError):
-        SpcmModel(efficiency=0.5, dark_rate_hz=-1.0)
 
 
 def test_detector_csv_marks_clamped_rows(tmp_path, apd):

@@ -3,9 +3,8 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from pairsim.dispersion import (C_M_PER_S, DelayMedium, SellmeierModel,
-                                default_model, dn_dwavelength, group_delay,
-                                load_sellmeier, refractive_index)
+from pairsim.config import load_sellmeier
+from pairsim.dispersion import SellmeierModel, default_model, dn_dwavelength, refractive_index
 from pairsim.errors import ConfigError, ValidityRangeError
 
 # Golden constants frozen from an independent hand evaluation of the
@@ -96,38 +95,6 @@ def test_derivative_needs_stencil_room(sellmeier):
     wlo, _ = sellmeier.wavelength_range_um
     with pytest.raises(ValidityRangeError):
         dn_dwavelength(sellmeier, wlo, 25.0)
-
-
-def test_group_delay_fiber():
-    # 70 m of standard single-mode fiber, frozen hand value 342.77 ns
-    delay = group_delay(DelayMedium(group_index=1.468, length_m=70.0))
-    assert delay == pytest.approx(3.42770464225621e-7, rel=1e-12)
-    assert abs(delay - 345e-9) / 345e-9 < 0.01
-
-
-def test_group_delay_zero_length():
-    assert group_delay(DelayMedium(group_index=1.9, length_m=0.0)) == 0.0
-
-
-def test_group_delay_defines_c():
-    assert group_delay(DelayMedium(group_index=1.0, length_m=C_M_PER_S)) == 1.0
-
-
-def test_group_delay_linear_in_length():
-    one = group_delay(DelayMedium(group_index=1.468, length_m=35.0))
-    two = group_delay(DelayMedium(group_index=1.468, length_m=70.0))
-    assert two == 2.0 * one
-
-
-def test_delay_medium_invariants():
-    with pytest.raises(ConfigError):
-        DelayMedium(group_index=0.9, length_m=1.0)
-    with pytest.raises(ConfigError):
-        DelayMedium(group_index=1.5, length_m=-1.0)
-
-
-def test_delay_medium_default_is_standard_fiber():
-    assert DelayMedium(length_m=70.0).group_index == 1.468
 
 
 def test_default_model_is_cached_and_valid():

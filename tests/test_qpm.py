@@ -253,11 +253,6 @@ def test_crystal_spec_invariants():
         CrystalSpec(length_mm=0.0, poling_period_um=21.6)
     with pytest.raises(ConfigError):
         CrystalSpec(length_mm=20.0, poling_period_um=21.6, qpm_order=2)
-    with pytest.raises(ConfigError):
-        CrystalSpec(length_mm=20.0, poling_period_um=21.6, duty_cycle=1.0)
-    with pytest.raises(ConfigError):
-        CrystalSpec(length_mm=20.0, poling_period_um=21.6,
-                    facet_reflectivity={"532nm": 1.2})
 
 
 def test_csv_writers_round_trip(tmp_path, crystal, sellmeier):

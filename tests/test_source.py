@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from pairsim.errors import ConfigError
-from pairsim.source import (LossChain, RateFigures, budget_rows, chain_efficiency,
-                            d_eff_qpm, infer_generation_rate, mode_matching_ratio,
-                            render_budget_text, spectral_brightness,
+from pairsim.source import (LossChain, budget_rows, chain_efficiency, infer_generation_rate,
+                            mode_matching_ratio, render_budget_text, spectral_brightness,
                             write_budget_csv)
 
 REFERENCE_CHAIN = LossChain(stages=(
@@ -114,53 +111,6 @@ def test_mode_matching_warns_when_inconsistent():
     with pytest.warns(UserWarning, match="exceeds 1"):
         ratio = mode_matching_ratio(0.6, 0.5)
     assert ratio == pytest.approx(1.2)
-
-
-def test_d_eff_third_order_half_duty():
-    # frozen hand arithmetic 2 * 25.2 / (3 * pi); the measured device sits below
-    value = d_eff_qpm(3, 0.5, 25.2)
-    assert value == pytest.approx(5.347606087887684, rel=1e-12)
-    assert value > 3.8
-
-
-def test_d_eff_first_order_textbook_factor():
-    assert d_eff_qpm(1, 0.5, 25.2) == pytest.approx(25.2 * 2.0 / math.pi, rel=1e-12)
-
-
-def test_d_eff_vanishes_at_third_duty():
-    assert abs(d_eff_qpm(3, 1.0 / 3.0, 25.2)) < 1e-12
-
-
-def test_d_eff_rejects_even_order():
-    with pytest.raises(ConfigError):
-        d_eff_qpm(2, 0.5, 25.2)
-    with pytest.raises(ConfigError):
-        d_eff_qpm(3, 0.0, 25.2)
-
-
-def test_d_eff_third_order_maxima_structure():
-    peaks = [d_eff_qpm(3, d, 25.2) for d in (1.0 / 6.0, 0.5, 5.0 / 6.0)]
-    assert peaks[0] == pytest.approx(peaks[1], rel=1e-9)
-    assert peaks[1] == pytest.approx(peaks[2], rel=1e-9)
-    for d in (1.0 / 6.0, 0.5, 5.0 / 6.0):
-        assert d_eff_qpm(3, d, 25.2) >= d_eff_qpm(3, d + 1e-3, 25.2)
-        assert d_eff_qpm(3, d, 25.2) >= d_eff_qpm(3, d - 1e-3, 25.2)
-
-
-def test_rate_figures_derive_brightness():
-    figures = RateFigures(pair_rate_per_mw=1.4e7, bandwidth_ghz=150.0)
-    assert figures.spectral_brightness == pytest.approx(93333.3333333333, rel=1e-12)
-
-
-def test_rate_figures_invariants():
-    explicit = RateFigures(pair_rate_per_mw=1.4e7, bandwidth_ghz=150.0,
-                           spectral_brightness=1.4e7 / 150.0)
-    assert explicit.pair_rate_per_mw == 1.4e7
-    with pytest.raises(ConfigError):
-        RateFigures(pair_rate_per_mw=-1.0, bandwidth_ghz=1.0, spectral_brightness=1.0)
-    with pytest.raises(ConfigError, match="inconsistent"):
-        RateFigures(pair_rate_per_mw=1.4e7, bandwidth_ghz=150.0,
-                    spectral_brightness=5.0e4)
 
 
 def test_budget_rows_cumulative_column():
