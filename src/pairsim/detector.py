@@ -2,16 +2,19 @@
 
 The APD model is data-driven: a piecewise-linear quantum-efficiency curve
 over overbias voltage plus per-gate dark probability and Gaussian
-click-time jitter.  Detection takes its randomness as an explicit
-``numpy.random.Generator`` so simulation shards can own independent streams.
-
-Per gate the generator is consumed in a fixed order regardless of
-outcomes: (1) photon-efficiency uniform, (2) click-time jitter normal,
-(3) dark-count uniform, (4) dark-time uniform.
+click-time jitter.  Detection is split into two steps that take their
+random numbers as arrays, so a caller decides how they are drawn:
+``photon_clicks`` (photon-efficiency uniform and jitter normal per gate) and
+``dark_clicks`` (dark-count uniform and dark-time uniform per gate);
+``earliest_clicks`` merges them.  ``detect_in_gate_batch`` wraps the three
+around one ``numpy.random.Generator``, drawing per batch of n gates, in this
+order regardless of outcomes: (1) n photon-efficiency uniforms, (2) n jitter
+normals, (3) n dark-count uniforms, (4) n dark-time uniforms.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,7 +72,9 @@ class SpcmModel:
 
 def qe_at_overbias(model: GatedApdModel, overbias_v: float) -> float:
     """Piecewise-linear interpolation of the QE curve, clamped at the ends
-    (with a warning when clamping)."""
+    (with a warning when clamping); a non-finite overbias is a ConfigError."""
+    if not math.isfinite(overbias_v):
+        raise ConfigError(f"overbias must be a finite voltage, got {overbias_v}")
     lo, hi = model.overbias_span
     if overbias_v < lo or overbias_v > hi:
         warnings.warn(
@@ -110,6 +115,47 @@ def effective_efficiency(model: GatedApdModel, arrival_offsets_ns,
     return qe_at_overbias(model, overbias_v) * _edge_factor(model, offsets)
 
 
+def photon_clicks(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
+                  overbias_v: float, u_qe: np.ndarray,
+                  normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Photon avalanches of a batch of gates; NaN offsets mark gates with no
+    photon.  ``u_qe`` holds one uniform and ``normals`` one standard normal
+    per gate.  Returns (gate indices, click times ns) of the gates where the
+    photon is detected and its jittered time falls inside the gate.
+    """
+    offsets = np.asarray(arrival_offsets_ns, dtype=float)
+    gate = model.gate_length_ns
+    has_photon = ~np.isnan(offsets)
+    if np.any((offsets[has_photon] < 0) | (offsets[has_photon] >= gate)):
+        raise ConfigError("photon arrival offsets must lie in [0, gate length)")
+
+    eff = np.where(has_photon,
+                   effective_efficiency(model, np.nan_to_num(offsets), overbias_v),
+                   0.0)
+    photon_time = offsets + normals * model.jitter_sigma_ns
+    hit = np.flatnonzero(has_photon & (u_qe < eff)
+                         & (photon_time >= 0.0) & (photon_time < gate))
+    return hit, photon_time[hit]
+
+
+def dark_clicks(model: GatedApdModel, u_dark: np.ndarray,
+                u_time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dark avalanches of a batch of gates from one dark-count uniform and one
+    dark-time uniform per gate: (gate indices, click times ns)."""
+    hit = np.flatnonzero(u_dark < model.dark_prob_per_gate)
+    return hit, u_time[hit] * model.gate_length_ns
+
+
+def earliest_clicks(n: int, photon: tuple[np.ndarray, np.ndarray],
+                    dark: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per-gate click time over n gates from the (indices, times) of the two
+    steps; the earliest avalanche wins, inf marks a gate without a click."""
+    times = np.full(n, np.inf)
+    times[photon[0]] = photon[1]
+    times[dark[0]] = np.minimum(times[dark[0]], dark[1])
+    return times
+
+
 def detect_in_gate_batch(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
                          overbias_v: float,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -121,30 +167,14 @@ def detect_in_gate_batch(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
     """
     offsets = np.asarray(arrival_offsets_ns, dtype=float)
     n = offsets.shape[0]
-    gate = model.gate_length_ns
-
-    has_photon = ~np.isnan(offsets)
-    if np.any((offsets[has_photon] < 0) | (offsets[has_photon] >= gate)):
-        raise ConfigError("photon arrival offsets must lie in [0, gate length)")
-
     u_qe = rng.random(n)
-    jitter = rng.normal(0.0, 1.0, n) * model.jitter_sigma_ns
+    normals = rng.normal(0.0, 1.0, n)
     u_dark = rng.random(n)
-    t_dark = rng.random(n) * gate
-
-    eff = np.where(has_photon,
-                   effective_efficiency(model, np.nan_to_num(offsets), overbias_v),
-                   0.0)
-    photon_time = offsets + jitter
-    photon_click = has_photon & (u_qe < eff) \
-        & (photon_time >= 0.0) & (photon_time < gate)
-    dark_click = u_dark < model.dark_prob_per_gate
-
-    t_photon = np.where(photon_click, photon_time, np.inf)
-    t_dark_won = np.where(dark_click, t_dark, np.inf)
-    t_click = np.minimum(t_photon, t_dark_won)
-    clicked = np.isfinite(t_click)
-    return clicked, np.where(clicked, t_click, np.nan)
+    u_time = rng.random(n)
+    times = earliest_clicks(n, photon_clicks(model, offsets, overbias_v, u_qe, normals),
+                            dark_clicks(model, u_dark, u_time))
+    clicked = np.isfinite(times)
+    return clicked, np.where(clicked, times, np.nan)
 
 
 def write_detector_csv(model: GatedApdModel, sweep_v: list[float], path) -> None:

@@ -20,9 +20,6 @@ C_M_PER_S = 299_792_458.0
 _F_T_A = 24.5
 _F_T_B = 570.82
 
-# Relative step (in lambda) for the central finite difference.
-DEFAULT_FD_RELATIVE_STEP = 1e-4
-
 
 @dataclass(frozen=True)
 class SellmeierModel:
@@ -79,18 +76,6 @@ def refractive_index(model: SellmeierModel, wavelength_um: float,
           + (a4 + b4 * f) / (lam2 - a5 * a5)
           - a6 * lam2)
     return sqrt(n2)
-
-
-def dn_dwavelength(model: SellmeierModel, wavelength_um: float, temperature_c: float,
-                   relative_step: float = DEFAULT_FD_RELATIVE_STEP) -> float:
-    """d n / d lambda in 1/um by central finite difference.
-
-    The stencil points must stay inside the model's wavelength range.
-    """
-    h = relative_step * wavelength_um
-    n_hi = refractive_index(model, wavelength_um + h, temperature_c)
-    n_lo = refractive_index(model, wavelength_um - h, temperature_c)
-    return (n_hi - n_lo) / (2.0 * h)
 
 
 @lru_cache(maxsize=None)

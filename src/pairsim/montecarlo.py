@@ -9,25 +9,48 @@ are neglected (double-pair probability is far below the statistical
 resolution at the kHz trigger rates this models).
 
 Randomness: one counter-based Philox stream per shard, keyed by
-(seed, shard_index).  Per shard the draws are consumed in a fixed order:
-pair-survival uniforms, then the detector batch draws (photon-efficiency
-uniforms, jitter normals, dark uniforms, dark-time uniforms).
+(seed, shard_index).  A shard of n triggers reads its stream as five
+consecutive blocks, one value per trigger each; positions count the
+stream's 64-bit words:
+
+* pair-survival uniforms at [0, n);
+* photon-efficiency uniforms at [n, 2n);
+* jitter normals from 2n.  The ziggurat takes a variable number of words,
+  so this block ends at 2n + m, with m known only once it is drawn;
+* dark-count uniforms at [2n + m, 3n + m);
+* dark-time uniforms at [3n + m, 4n + m).
+
+Philox is counter based, so a generator can be started at any of these
+positions (``Philox.advance`` plus the remainder of a four-word block).  A
+shard is walked in CHUNK-sized steps twice.  The first walk reads from
+generators at 0, n and 2n and keeps only the photon clicks, as (trigger
+index, time) per chunk.  The normals generator has then reached 2n + m, so
+the second walk reads the dark counts from generators at 2n + m and
+3n + m, merges each chunk's clicks (the earliest wins) and histograms
+them.  Memory is O(CHUNK + photon clicks): a few MB of chunk arrays plus
+16 bytes per photon click, whatever n is.  The counts do not depend on
+CHUNK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from math import erf, sqrt
 
 import numpy as np
 
-from .detector import (GatedApdModel, SpcmModel, dark_prob, detect_in_gate_batch,
-                       effective_efficiency)
+from .detector import (GatedApdModel, SpcmModel, dark_clicks, dark_prob, earliest_clicks,
+                       effective_efficiency, photon_clicks)
 from .errors import ConfigError
 from .formatting import format_number, write_lines
 from .source import LossChain, chain_efficiency
 
 DEFAULT_COINCIDENCE_WINDOW_NS = 4.0
+
+# Triggers per step of a shard's walk; each step holds a few float64
+# arrays of this length.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,8 +214,6 @@ def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
     if n_shards < 1:
         raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     edges = config.bin_edges()
-    p_pair = pair_survival_probability(config)
-
     raw, capped, discard = trigger_budget(config, spcm)
     n_triggers = _resolve_triggers(config, capped)
 
@@ -201,14 +222,9 @@ def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
 
     counts = np.zeros(config.n_bins, dtype=np.int64)
     for shard_index, shard_n in enumerate(shard_sizes):
-        if shard_n == 0:
-            continue
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,))))
-        u_pair = rng.random(shard_n)
-        offsets = np.where(u_pair < p_pair, config.gate_open_lead_ns, np.nan)
-        clicked, times = detect_in_gate_batch(apd, offsets, overbias_v, rng)
-        counts += np.histogram(times[clicked], bins=edges)[0]
+        if shard_n > 0:
+            counts += _shard_counts(config, apd, overbias_v, edges,
+                                    partial(_stream, seed, shard_index), shard_n)
 
     conditional = counts / n_triggers
     accidental = np.full(config.n_bins, dark_prob(apd, config.bin_width_ns))
@@ -221,6 +237,50 @@ def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
         trigger_rate_hz=capped,
         discard_fraction=discard,
     )
+
+
+def _stream(seed: int, shard_index: int, position: int) -> np.random.Generator:
+    """Generator on the shard's Philox stream, ``position`` words in."""
+    bit_gen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,)))
+    bit_gen.advance(position // 4)        # whole four-word blocks
+    bit_gen.random_raw(position % 4)
+    return np.random.Generator(bit_gen)
+
+
+def _position(rng: np.random.Generator) -> int:
+    """Words of its stream a Philox-backed generator has consumed."""
+    state = rng.bit_generator.state
+    counter = sum(int(limb) << (64 * i) for i, limb in enumerate(state["state"]["counter"]))
+    return 4 * counter - (4 - state["buffer_pos"])
+
+
+def _chunk_sizes(n: int) -> list[int]:
+    return [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+
+
+def _shard_counts(config: ExperimentConfig, apd: GatedApdModel, overbias_v: float,
+                  edges: np.ndarray, stream, n: int) -> np.ndarray:
+    """Histogram counts of one shard of n triggers; ``stream(position)``
+    positions a generator on the shard's stream (see the module docstring)."""
+    p_pair = pair_survival_probability(config)
+    u_pair, u_qe, normals = stream(0), stream(n), stream(2 * n)
+    photon = []                         # per chunk: (indices in chunk, times)
+    for size in _chunk_sizes(n):
+        pair = np.flatnonzero(u_pair.random(size) < p_pair)
+        u = u_qe.random(size)
+        z = normals.normal(0.0, 1.0, size)
+        hit, times = photon_clicks(apd, np.full(pair.size, config.gate_open_lead_ns),
+                                   overbias_v, u[pair], z[pair])
+        photon.append((pair[hit], times))
+
+    end = _position(normals)
+    u_dark, u_time = stream(end), stream(end + n)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for size, clicks in zip(_chunk_sizes(n), photon):
+        t = earliest_clicks(size, clicks,
+                            dark_clicks(apd, u_dark.random(size), u_time.random(size)))
+        counts += np.histogram(t[np.isfinite(t)], bins=edges)[0]
+    return counts
 
 
 def coincidence_window_sum(hist: CoincidenceHistogram, window_ns: float) -> float:

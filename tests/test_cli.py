@@ -139,6 +139,16 @@ def test_simulate_byte_identical_for_same_seed(tmp_path):
     assert (out1 / "histogram.csv").read_bytes() == (out2 / "histogram.csv").read_bytes()
 
 
+@pytest.mark.parametrize("overbias", ["nan", "inf"])
+def test_simulate_non_finite_overbias_exits_1(tmp_path, capsys, overbias):
+    out = tmp_path / "out"
+    code = main(["simulate", "--seed", "1", "--triggers", "1000",
+                 "--overbias", overbias, "--out", str(out)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "histogram.csv").exists()
+
+
 def test_simulate_analytic_mode_is_noise_free(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--analytic", "--triggers", "1000",

@@ -57,6 +57,12 @@ def test_out_of_span_clamps_with_warning(apd):
     assert high == apd.qe_curve[-1][1]
 
 
+@pytest.mark.parametrize("overbias", [math.nan, math.inf, -math.inf])
+def test_non_finite_overbias_is_config_error(apd, overbias):
+    with pytest.raises(ConfigError, match="finite"):
+        qe_at_overbias(apd, overbias)
+
+
 def test_curve_invariants_enforced():
     with pytest.raises(ConfigError, match="knots"):
         GatedApdModel(qe_curve=(), dark_prob_per_gate=0.001, gate_length_ns=20.0)

@@ -1,10 +1,9 @@
 import math
 
 import pytest
-from scipy.integrate import quad
 
 from pairsim.config import load_sellmeier
-from pairsim.dispersion import SellmeierModel, default_model, dn_dwavelength, refractive_index
+from pairsim.dispersion import SellmeierModel, default_model, refractive_index
 from pairsim.errors import ConfigError, ValidityRangeError
 
 # Golden constants frozen from an independent hand evaluation of the
@@ -62,39 +61,6 @@ def test_monotone_in_temperature(sellmeier):
             n_lo = refractive_index(sellmeier, lam, t)
             n_hi = refractive_index(sellmeier, lam, t + 1.0)
             assert n_hi > n_lo
-
-
-def test_derivative_negative_in_visible(sellmeier):
-    # normal dispersion: n falls with wavelength
-    assert dn_dwavelength(sellmeier, 0.6, 25.0) < 0.0
-
-
-def test_derivative_integrates_back_to_index(sellmeier):
-    a, b = 0.8, 1.6
-    integral, err = quad(lambda lam: dn_dwavelength(sellmeier, lam, 142.0), a, b,
-                         limit=200)
-    delta = refractive_index(sellmeier, b, 142.0) - refractive_index(sellmeier, a, 142.0)
-    assert integral == pytest.approx(delta, abs=1e-6)
-
-
-def test_derivative_richardson_step_halving(sellmeier):
-    full = dn_dwavelength(sellmeier, 1.55, 25.0, relative_step=1e-4)
-    half = dn_dwavelength(sellmeier, 1.55, 25.0, relative_step=5e-5)
-    assert abs(full - half) < 1e-8
-
-
-def test_derivative_agrees_with_finer_stencil(sellmeier):
-    for i in range(20):
-        lam = 0.5 + i * (4.4 - 0.5) / 19
-        coarse = dn_dwavelength(sellmeier, lam, 100.0)
-        fine = dn_dwavelength(sellmeier, lam, 100.0, relative_step=1e-5)
-        assert abs(coarse - fine) < 1e-7
-
-
-def test_derivative_needs_stencil_room(sellmeier):
-    wlo, _ = sellmeier.wavelength_range_um
-    with pytest.raises(ValidityRangeError):
-        dn_dwavelength(sellmeier, wlo, 25.0)
 
 
 def test_default_model_is_cached_and_valid():

@@ -1,11 +1,11 @@
-"""Byte identity of the deterministic CLI outputs.
+"""Byte identity of the CLI outputs, Monte Carlo files included.
 
 Each command writes to ``--out <command>`` relative to the working
 directory, so the paths in stdout are fixed too.  A change that alters any
 of these bytes on purpose updates its digest here.  The Monte Carlo files
-(histogram.csv, manifest.json) are left out: a change of the seed-to-stream
-mapping changes them on purpose.  ``repro``'s stdout does carry the
-simulated figures, so such a change updates that digest as well.
+(histogram.csv, manifest.json) and ``repro``'s and ``simulate``'s stdout
+depend on the seed-to-stream mapping of ``montecarlo.simulate``: a change
+of that mapping updates exactly those digests, on purpose, and says so.
 """
 
 import hashlib
@@ -14,6 +14,7 @@ from pairsim.cli import main
 
 RUNS = {
     "repro": ["repro", "--seed", "1"],
+    "simulate": ["simulate", "--seed", "1", "--triggers", "200000"],
     "tune": ["tune"],
     "spectrum": ["spectrum"],
     "budget": ["budget"],
@@ -27,6 +28,10 @@ DIGESTS = {
     ("repro", "budget.csv"): "0ea35f660f41a91d3e73eef04990bc8e067d109e27fbcd1bc86f7d11bc442887",
     ("repro", "budget.txt"): "6d999e97cda63600e40c9fb0924dd037c14bb725fbc1b1e0609f0d31c9d67dcb",
     ("repro", "detector_curve.csv"): "753c0b12c34dc3621a06ba3ef869b4114f48dd1c3a82f23367eaee1bc744ecc1",
+    ("repro", "histogram.csv"): "0e69b76132d5e0286671718c147fac376c02b289bb181ae352019020673d977c",
+    ("repro", "manifest.json"): "a1335a8f6732fe5922c068a50e01897d3c04bafa629d208dc9d2d824de253966",
+    ("simulate", "stdout"): "20fd1a1970a735b53986a5b071d67f288f35ab7acd4e2290d18b6d38c28aa240",
+    ("simulate", "histogram.csv"): "f8206b0ec6d61239932955e850e48882611210eb401bdb2efb53fe7a992aa04a",
     ("tune", "stdout"): "6fda8c024d39e436332d8c54aa8cbb700a52480cb689abd27944242b3a9db538",
     ("tune", "tuning_curve.csv"): "67a2dbae0af7d5205e2196b9229927cd0fe69f4a2c81a5a9084a275bac2eedce",
     ("spectrum", "stdout"): "56afa563b419c0b77dbc6cec4a78ded4f8e5c9f996a564c5bdd96a5f6f790550",

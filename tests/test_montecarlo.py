@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pairsim.detector import dark_prob
+from pairsim import montecarlo
+from pairsim.detector import dark_prob, detect_in_gate_batch
 from pairsim.errors import ConfigError
-from pairsim.montecarlo import (CoincidenceHistogram, ExperimentConfig,
+from pairsim.montecarlo import (CHUNK, CoincidenceHistogram, ExperimentConfig,
                                 analytic_expectation, coincidence_window_sum,
                                 pair_survival_probability, pairs_disabled, simulate,
                                 trigger_budget, write_histogram_csv)
@@ -209,3 +210,88 @@ def test_histogram_csv_round_trip(tmp_path, run_config, apd):
     path2 = tmp_path / "hist2.csv"
     write_histogram_csv(again, expected, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _dense_counts(config, apd, overbias_v, seed, n_shards=1):
+    """Reference for ``simulate``: each shard drawn whole from one generator,
+    pair uniforms first, then the detector batch."""
+    base, extra = divmod(config.n_triggers, n_shards)
+    counts = np.zeros(config.n_bins, dtype=np.int64)
+    for shard in range(n_shards):
+        n = base + (1 if shard < extra else 0)
+        if n == 0:
+            continue
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(shard,))))
+        offsets = np.where(rng.random(n) < pair_survival_probability(config),
+                           config.gate_open_lead_ns, np.nan)
+        clicked, times = detect_in_gate_batch(apd, offsets, overbias_v, rng)
+        counts += np.histogram(times[clicked], bins=config.bin_edges())[0]
+    return counts
+
+
+def _assert_matches_dense(config, apd, spcm, seed, n_shards=1):
+    sim = simulate(config, apd, spcm, 3.7, seed, n_shards=n_shards)
+    counts = np.rint(sim.conditional_prob * sim.n_triggers).astype(np.int64)
+    dense = _dense_counts(config, apd, 3.7, seed, n_shards)
+    assert np.array_equal(counts, dense)
+    assert np.array_equal(sim.conditional_prob, dense / config.n_triggers)
+
+
+def _noisy(apd):
+    return dataclasses.replace(apd, dark_prob_per_gate=0.3, jitter_sigma_ns=6.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_simulate_equals_dense_reference_at_chunk_boundaries(run_config, apd, n):
+    for seed in (1, 2, 3):
+        _assert_matches_dense(_config(n_triggers=n), apd, run_config.spcm, seed)
+        _assert_matches_dense(_config(n_triggers=n), _noisy(apd), run_config.spcm, seed)
+
+
+@pytest.mark.parametrize("config_kw,apd_kw,n_shards", [
+    ({}, {"jitter_sigma_ns": 0.0}, 1),
+    ({"gate_open_lead_ns": 1.0}, {"edge_mask_enabled": True}, 1),
+    ({}, {"dark_prob_per_gate": 0.0}, 1),
+    ({}, {"dark_prob_per_gate": 0.3, "jitter_sigma_ns": 6.0}, 1),
+    ({"gate_open_lead_ns": 0.0}, {}, 1),
+    ({"gate_open_lead_ns": 1.0}, {}, 1),
+    ({"gate_open_lead_ns": 19.5}, {}, 1),
+    ({"pump_power_mw": 0.0}, {}, 1),
+    ({}, {}, 2),
+    ({}, {}, 3),
+    ({}, {}, 7),
+], ids=["sigma0", "edge_mask", "no_dark", "noisy", "lead0", "lead1", "lead19.5",
+        "zero_pump", "shards2", "shards3", "shards7"])
+def test_simulate_equals_dense_reference(run_config, apd, config_kw, apd_kw, n_shards):
+    config = _config(n_triggers=2 * CHUNK + 11, **config_kw)
+    _assert_matches_dense(config, dataclasses.replace(apd, **apd_kw), run_config.spcm,
+                          seed=17, n_shards=n_shards)
+
+
+def test_simulate_counts_do_not_depend_on_chunk_size(run_config, apd, monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK", 7)
+    for n in (1, 6, 7, 8, 50, 1001):
+        for n_shards in (1, 3):
+            _assert_matches_dense(_config(n_triggers=n), _noisy(apd), run_config.spcm,
+                                  seed=n, n_shards=n_shards)
+
+
+def test_lead_past_gate_raises_exactly_when_a_photon_is_drawn(run_config, apd, monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK", 2)
+    config = _config(n_triggers=4, gate_open_lead_ns=apd.gate_length_ns)
+    drawn = []
+    for seed in range(40):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+        drawn.append(bool(np.any(rng.random(4) < pair_survival_probability(config))))
+        try:
+            simulate(config, apd, run_config.spcm, 3.7, seed)
+            raised = False
+        except ConfigError as exc:
+            assert "arrival offsets" in str(exc)
+            raised = True
+        assert raised == drawn[-1], seed
+    assert any(drawn) and not all(drawn)
+    dark_only = dataclasses.replace(config, pump_power_mw=0.0, n_triggers=1000)
+    simulate(dark_only, apd, run_config.spcm, 3.7, seed=1)
