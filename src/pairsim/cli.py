@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
@@ -286,33 +287,40 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, *_args, **_kwargs):
+    """One stderr line per warning, without the path and line that raised it."""
+    print(f"pairsim: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_run_config(args.config)
-        out = _out_dir(cfg, args.out)
-        if args.command == "tune":
-            cmd_tune(cfg, _parse_range(args.temp_range), out)
-        elif args.command == "spectrum":
-            temp = (_parse_range(args.temp_range)[0] if args.temp_range is not None
-                    else cfg.temperature_c)
-            cmd_spectrum(cfg, temp, out)
-        elif args.command == "budget":
-            cmd_budget(cfg, out)
-        elif args.command == "detector-curve":
-            cmd_detector(cfg, _parse_range(args.overbias), out)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, out, args.seed, args.triggers, args.analytic, args.overbias)
-        elif args.command == "repro":
-            cmd_repro(cfg, out, args.seed)
-        else:
-            raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"pairsim: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"pairsim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            cfg = load_run_config(args.config)
+            out = _out_dir(cfg, args.out)
+            if args.command == "tune":
+                cmd_tune(cfg, _parse_range(args.temp_range), out)
+            elif args.command == "spectrum":
+                temp = (_parse_range(args.temp_range)[0] if args.temp_range is not None
+                        else cfg.temperature_c)
+                cmd_spectrum(cfg, temp, out)
+            elif args.command == "budget":
+                cmd_budget(cfg, out)
+            elif args.command == "detector-curve":
+                cmd_detector(cfg, _parse_range(args.overbias), out)
+            elif args.command == "simulate":
+                cmd_simulate(cfg, out, args.seed, args.triggers, args.analytic, args.overbias)
+            elif args.command == "repro":
+                cmd_repro(cfg, out, args.seed)
+            else:
+                raise ConfigError(f"unknown command {args.command}")
+        except ConfigError as exc:
+            print(f"pairsim: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SolverError as exc:
+            print(f"pairsim: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     return EXIT_OK
 
 

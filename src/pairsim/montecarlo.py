@@ -8,10 +8,10 @@ trigger rates enter only through the rate cap.  Multi-pair events per gate
 are neglected (double-pair probability is far below the statistical
 resolution at the kHz trigger rates this models).
 
-Randomness: one counter-based Philox stream per shard, keyed by
-(seed, shard_index).  A shard of n triggers reads its stream as five
-consecutive blocks, one value per trigger each; positions count the
-stream's 64-bit words:
+Randomness: one counter-based Philox stream, keyed by
+SeedSequence(entropy=seed, spawn_key=(0,)).  A run of n triggers reads it
+as five consecutive blocks, one value per trigger each; positions count
+the stream's 64-bit words:
 
 * pair-survival uniforms at [0, n);
 * photon-efficiency uniforms at [n, 2n);
@@ -21,8 +21,8 @@ stream's 64-bit words:
 * dark-time uniforms at [3n + m, 4n + m).
 
 Philox is counter based, so a generator can be started at any of these
-positions (``Philox.advance`` plus the remainder of a four-word block).  A
-shard is walked in CHUNK-sized steps twice.  The first walk reads from
+positions (``Philox.advance`` plus the remainder of a four-word block).  The
+run is walked in CHUNK-sized steps twice.  The first walk reads from
 generators at 0, n and 2n and keeps only the photon clicks, as (trigger
 index, time) per chunk.  The normals generator has then reached 2n + m, so
 the second walk reads the dark counts from generators at 2n + m and
@@ -34,8 +34,7 @@ CHUNK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from math import erf, sqrt
 
 import numpy as np
@@ -48,7 +47,7 @@ from .source import LossChain, chain_efficiency
 
 DEFAULT_COINCIDENCE_WINDOW_NS = 4.0
 
-# Triggers per step of a shard's walk; each step holds a few float64
+# Triggers per step of the walk; each step holds a few float64
 # arrays of this length.
 CHUNK = 1 << 16
 
@@ -203,29 +202,13 @@ def analytic_expectation(config: ExperimentConfig, apd: GatedApdModel,
 
 
 def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
-             overbias_v: float, seed: int,
-             n_shards: int = 1) -> CoincidenceHistogram:
-    """Monte Carlo coincidence histogram; deterministic for a fixed seed.
-
-    Triggers are split across ``n_shards`` independent Philox streams
-    keyed by (seed, shard index); the merged counts are the sum over
-    shards, so the result is reproducible for a fixed (seed, n_shards).
-    """
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
+             overbias_v: float, seed: int) -> CoincidenceHistogram:
+    """Monte Carlo coincidence histogram; deterministic for a fixed seed."""
     edges = config.bin_edges()
     raw, capped, discard = trigger_budget(config, spcm)
     n_triggers = _resolve_triggers(config, capped)
 
-    base, extra = divmod(n_triggers, n_shards)
-    shard_sizes = [base + (1 if k < extra else 0) for k in range(n_shards)]
-
-    counts = np.zeros(config.n_bins, dtype=np.int64)
-    for shard_index, shard_n in enumerate(shard_sizes):
-        if shard_n > 0:
-            counts += _shard_counts(config, apd, overbias_v, edges,
-                                    partial(_stream, seed, shard_index), shard_n)
-
+    counts = _counts(config, apd, overbias_v, edges, seed, n_triggers)
     conditional = counts / n_triggers
     accidental = np.full(config.n_bins, dark_prob(apd, config.bin_width_ns))
     return CoincidenceHistogram(
@@ -239,9 +222,9 @@ def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
     )
 
 
-def _stream(seed: int, shard_index: int, position: int) -> np.random.Generator:
-    """Generator on the shard's Philox stream, ``position`` words in."""
-    bit_gen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,)))
+def _stream(seed: int, position: int) -> np.random.Generator:
+    """Generator on the run's Philox stream, ``position`` words in."""
+    bit_gen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     bit_gen.advance(position // 4)        # whole four-word blocks
     bit_gen.random_raw(position % 4)
     return np.random.Generator(bit_gen)
@@ -258,12 +241,11 @@ def _chunk_sizes(n: int) -> list[int]:
     return [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
 
 
-def _shard_counts(config: ExperimentConfig, apd: GatedApdModel, overbias_v: float,
-                  edges: np.ndarray, stream, n: int) -> np.ndarray:
-    """Histogram counts of one shard of n triggers; ``stream(position)``
-    positions a generator on the shard's stream (see the module docstring)."""
+def _counts(config: ExperimentConfig, apd: GatedApdModel, overbias_v: float,
+            edges: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """Histogram counts of n triggers, walked as the module docstring says."""
     p_pair = pair_survival_probability(config)
-    u_pair, u_qe, normals = stream(0), stream(n), stream(2 * n)
+    u_pair, u_qe, normals = _stream(seed, 0), _stream(seed, n), _stream(seed, 2 * n)
     photon = []                         # per chunk: (indices in chunk, times)
     for size in _chunk_sizes(n):
         pair = np.flatnonzero(u_pair.random(size) < p_pair)
@@ -274,7 +256,7 @@ def _shard_counts(config: ExperimentConfig, apd: GatedApdModel, overbias_v: floa
         photon.append((pair[hit], times))
 
     end = _position(normals)
-    u_dark, u_time = stream(end), stream(end + n)
+    u_dark, u_time = _stream(seed, end), _stream(seed, end + n)
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
     for size, clicks in zip(_chunk_sizes(n), photon):
         t = earliest_clicks(size, clicks,
@@ -293,16 +275,10 @@ def coincidence_window_sum(hist: CoincidenceHistogram, window_ns: float) -> floa
         raise ConfigError(
             f"window {window_ns} ns must be a positive multiple of the "
             f"{bin_w} ns bin width")
-    n = len(hist.conditional_prob)
-    if k > n:
+    if k > len(hist.conditional_prob):
         raise ConfigError(f"window {window_ns} ns exceeds the histogram span")
-    sums = [float(hist.conditional_prob[i:i + k].sum()) for i in range(n - k + 1)]
-    return max(sums)
-
-
-def pairs_disabled(config: ExperimentConfig) -> ExperimentConfig:
-    """Copy of the config with pair generation switched off (dark-only run)."""
-    return replace(config, pump_power_mw=0.0)
+    windows = np.lib.stride_tricks.sliding_window_view(hist.conditional_prob, k)
+    return float(windows.sum(axis=1).max())
 
 
 def write_histogram_csv(hist: CoincidenceHistogram, expected: CoincidenceHistogram,

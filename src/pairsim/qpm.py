@@ -5,18 +5,22 @@ Conventions: wavelengths are vacuum values in nm at the API surface (um
 internally, matching the dispersion model), temperatures in degC, mismatch
 in rad/m.  All three waves use the extraordinary index; the grating
 compensates the mismatch with its order-m Fourier harmonic.
+
+Solver contract: the bracketed roots (phase-matched signal, FWHM half-points)
+come from ``_brentq``, which takes scipy.optimize.brentq's steps in the same
+floating-point order and so returns its roots bit for bit; scipy is used only
+in the tests, as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import pi, sin
-
-from scipy.optimize import brentq
+from sys import float_info
 
 from . import dispersion
 from .dispersion import C_M_PER_S, SellmeierModel, refractive_index
-from .errors import ConfigError, NoSolutionError, SpectralAnomalyError
+from .errors import ConfigError, NoSolutionError, SolverError, SpectralAnomalyError
 from .formatting import format_number, write_lines
 
 # |x| where sinc^2(x) = 1/2 (frozen from a bisection run; sinc(x) = sin(x)/x).
@@ -32,6 +36,7 @@ DEFAULT_SIGNAL_BRACKET_NM = (760.0, 860.0)
 
 _SOLVER_XTOL_NM = 1e-6
 _SOLVER_MAXITER = 200
+_SOLVER_RTOL = 4 * float_info.epsilon  # scipy's brentq default
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,8 @@ def idler_from_energy(pump_nm: float, signal_nm: float) -> float:
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
-def _index_sum_per_um(crystal: CrystalSpec, pump_nm, signal_nm, idler_nm,
-                      temperature_c, model: SellmeierModel) -> float:
+def _index_sum_per_um(pump_nm, signal_nm, idler_nm, temperature_c,
+                      model: SellmeierModel) -> float:
     """n_p/lp - n_s/ls - n_i/li in 1/um."""
     lp, ls, li = pump_nm * 1e-3, signal_nm * 1e-3, idler_nm * 1e-3
     return (refractive_index(model, lp, temperature_c) / lp
@@ -123,10 +128,54 @@ def phase_mismatch(crystal: CrystalSpec, pump_nm: float, signal_nm: float,
                    model: SellmeierModel | None = None) -> float:
     """delta_k = 2*pi*(n_p/lp - n_s/ls - n_i/li - m/Lambda(T)) in rad/m."""
     model = model or dispersion.default_model()
-    bracket = _index_sum_per_um(crystal, pump_nm, signal_nm, idler_nm,
-                                temperature_c, model)
+    bracket = _index_sum_per_um(pump_nm, signal_nm, idler_nm, temperature_c, model)
     grating = crystal.qpm_order / crystal.period_at(temperature_c)
     return 2.0 * pi * (bracket - grating) * 1e6
+
+
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
+            xtol: float, maxiter: int) -> tuple[float, float]:
+    """(root, f(root)) of f between xpre and xcur, given fpre = f(xpre) and
+    fcur = f(xcur), which must not have the same sign.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) step for step as scipy.optimize.brentq runs it
+    (scipy/optimize/Zeros/brentq.c, rtol = 4 eps).  Raises SolverError when
+    ``maxiter`` iterations do not converge.
+    """
+    if fpre == 0.0:
+        return xpre, fpre
+    if fcur == 0.0:
+        return xcur, fcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):       # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _SOLVER_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolverError(f"root solve did not converge in {maxiter} iterations")
 
 
 def solve_signal(crystal: CrystalSpec, pump_nm: float, temperature_c: float,
@@ -149,26 +198,20 @@ def solve_signal(crystal: CrystalSpec, pump_nm: float, temperature_c: float,
                               temperature_c, model)
 
     f_lo, f_hi = mismatch_at(lo), mismatch_at(hi)
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif f_lo * f_hi > 0:
+    if (f_lo > 0 and f_hi > 0) or (f_lo < 0 and f_hi < 0):
         raise NoSolutionError(
             f"no phase-match root in signal bracket [{lo}, {hi}] nm at "
             f"{temperature_c} C: delta_k = {f_lo:.6g} / {f_hi:.6g} rad/m",
             endpoint_values=(f_lo, f_hi),
         )
-    else:
-        root = brentq(mismatch_at, lo, hi, xtol=_SOLVER_XTOL_NM,
-                      maxiter=_SOLVER_MAXITER)
+    root, mismatch = _brentq(mismatch_at, lo, hi, f_lo, f_hi, _SOLVER_XTOL_NM, _SOLVER_MAXITER)
     idler_nm = idler_from_energy(pump_nm, root)
     return PhaseMatchPoint(
         pump_nm=pump_nm,
         signal_nm=root,
         idler_nm=idler_nm,
         temperature_c=temperature_c,
-        mismatch_rad_per_m=mismatch_at(root),
+        mismatch_rad_per_m=mismatch,
     )
 
 
@@ -182,8 +225,7 @@ def calibrate_period(crystal: CrystalSpec, pump_nm: float, target_signal_nm: flo
     """
     model = model or dispersion.default_model()
     idler_nm = idler_from_energy(pump_nm, target_signal_nm)
-    bracket = _index_sum_per_um(crystal, pump_nm, target_signal_nm, idler_nm,
-                                temperature_c, model)
+    bracket = _index_sum_per_um(pump_nm, target_signal_nm, idler_nm, temperature_c, model)
     period_at_t = crystal.qpm_order / bracket
     expansion = 1.0 + crystal.thermal_expansion_per_c * (
         temperature_c - crystal.reference_temp_c)
@@ -309,8 +351,8 @@ def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
             cur = solution.idler_nm + direction * k * step
             f_cur = envelope_arg(cur)
             if f_prev < 0.0 <= f_cur:
-                a, b = (prev, cur) if prev < cur else (cur, prev)
-                return brentq(envelope_arg, a, b, xtol=1e-9, maxiter=_SOLVER_MAXITER)
+                (a, f_a), (b, f_b) = sorted([(prev, f_prev), (cur, f_cur)])
+                return _brentq(envelope_arg, a, b, f_a, f_b, 1e-9, _SOLVER_MAXITER)[0]
             prev, f_prev = cur, f_cur
             k += 1
         raise SpectralAnomalyError(

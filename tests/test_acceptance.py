@@ -129,7 +129,7 @@ def test_criterion_6_monte_carlo_vs_oracle(run_config):
 
 def test_criterion_7_accidental_floor(run_config):
     start = time.perf_counter()
-    config = mc.pairs_disabled(run_config.experiment)
+    config = dataclasses.replace(run_config.experiment, pump_power_mw=0.0)
     apd = run_config.apd
     level = dark_prob(apd, config.bin_width_ns)
     sigma = np.sqrt(level * (1 - level) / config.n_triggers)

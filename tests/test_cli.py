@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import pairsim
 from pairsim import montecarlo
 from pairsim.cli import main
 
@@ -147,6 +151,17 @@ def test_simulate_non_finite_overbias_exits_1(tmp_path, capsys, overbias):
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not (out / "histogram.csv").exists()
+
+
+def test_warning_is_one_line_without_source_path(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(pairsim.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "pairsim.cli", "simulate", "--seed", "1", "--triggers",
+         "1000", "--overbias", "9", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    assert result.stderr == ("pairsim: warning: overbias 9 V outside curve span "
+                             "[0.5, 4] V; clamping\n")
 
 
 def test_simulate_analytic_mode_is_noise_free(tmp_path):

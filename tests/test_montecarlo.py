@@ -9,7 +9,7 @@ from pairsim.detector import dark_prob, detect_in_gate_batch
 from pairsim.errors import ConfigError
 from pairsim.montecarlo import (CHUNK, CoincidenceHistogram, ExperimentConfig,
                                 analytic_expectation, coincidence_window_sum,
-                                pair_survival_probability, pairs_disabled, simulate,
+                                pair_survival_probability, simulate,
                                 trigger_budget, write_histogram_csv)
 from pairsim.source import LossChain
 
@@ -122,17 +122,13 @@ def test_simulate_deterministic_for_fixed_seed(run_config, apd):
 
 
 def test_shard_invariance_statistical_contract(run_config, apd):
-    config = _config(n_triggers=300_000)
-    expected = analytic_expectation(config, apd, run_config.spcm, 3.7)
-    merged = simulate(config, apd, run_config.spcm, 3.7, seed=21, n_shards=4)
-    assert merged.n_triggers == 300_000
-    assert _zscores(merged, expected).max() < 3.0
-    # each shard alone also honours the expectation
-    for shard_seed_size in [75_000]:
-        shard_cfg = _config(n_triggers=shard_seed_size)
-        shard_expected = analytic_expectation(shard_cfg, apd, run_config.spcm, 3.7)
-        shard = simulate(shard_cfg, apd, run_config.spcm, 3.7, seed=21)
-        assert _zscores(shard, shard_expected).max() < 3.0
+    # one stream, read at two lengths: both honour the expectation
+    for n in (300_000, 75_000):
+        config = _config(n_triggers=n)
+        expected = analytic_expectation(config, apd, run_config.spcm, 3.7)
+        sim = simulate(config, apd, run_config.spcm, 3.7, seed=21)
+        assert sim.n_triggers == n
+        assert _zscores(sim, expected).max() < 3.0
 
 
 def test_eta_monotone_in_overbias(run_config, apd):
@@ -165,6 +161,19 @@ def test_window_sum_picks_highest_mass_window():
     assert coincidence_window_sum(hist, 4.0) == pytest.approx(0.7)
 
 
+def test_window_sum_equals_loop_over_windows():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 9, 10, 40, 300):
+        probs = rng.random(n) * 1e-2
+        hist = CoincidenceHistogram(bin_edges_ns=np.arange(n + 1) * 2.0,
+                                    conditional_prob=probs, n_triggers=1,
+                                    eta_c_total=float(probs.sum()),
+                                    accidental_level=np.zeros(n))
+        for k in range(1, n + 1):
+            loop = max(float(probs[i:i + k].sum()) for i in range(n - k + 1))
+            assert coincidence_window_sum(hist, 2.0 * k) == loop
+
+
 def test_window_sum_validation():
     edges = np.arange(0.0, 22.0, 2.0)
     hist = CoincidenceHistogram(bin_edges_ns=edges, conditional_prob=np.zeros(10),
@@ -174,15 +183,6 @@ def test_window_sum_validation():
         coincidence_window_sum(hist, 3.0)  # not bin aligned
     with pytest.raises(ConfigError):
         coincidence_window_sum(hist, 24.0)  # wider than the histogram
-
-
-def test_simulate_validates_shards(run_config, apd):
-    with pytest.raises(ConfigError):
-        simulate(_config(), apd, run_config.spcm, 3.7, seed=1, n_shards=0)
-
-
-def test_pairs_disabled_helper():
-    assert pair_survival_probability(pairs_disabled(_config())) == 0.0
 
 
 def test_histogram_csv_round_trip(tmp_path, run_config, apd):
@@ -212,28 +212,21 @@ def test_histogram_csv_round_trip(tmp_path, run_config, apd):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def _dense_counts(config, apd, overbias_v, seed, n_shards=1):
-    """Reference for ``simulate``: each shard drawn whole from one generator,
+def _dense_counts(config, apd, overbias_v, seed):
+    """Reference for ``simulate``: the whole run drawn from one generator,
     pair uniforms first, then the detector batch."""
-    base, extra = divmod(config.n_triggers, n_shards)
-    counts = np.zeros(config.n_bins, dtype=np.int64)
-    for shard in range(n_shards):
-        n = base + (1 if shard < extra else 0)
-        if n == 0:
-            continue
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(shard,))))
-        offsets = np.where(rng.random(n) < pair_survival_probability(config),
-                           config.gate_open_lead_ns, np.nan)
-        clicked, times = detect_in_gate_batch(apd, offsets, overbias_v, rng)
-        counts += np.histogram(times[clicked], bins=config.bin_edges())[0]
-    return counts
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    offsets = np.where(rng.random(config.n_triggers) < pair_survival_probability(config),
+                       config.gate_open_lead_ns, np.nan)
+    clicked, times = detect_in_gate_batch(apd, offsets, overbias_v, rng)
+    return np.histogram(times[clicked], bins=config.bin_edges())[0]
 
 
-def _assert_matches_dense(config, apd, spcm, seed, n_shards=1):
-    sim = simulate(config, apd, spcm, 3.7, seed, n_shards=n_shards)
+def _assert_matches_dense(config, apd, spcm, seed):
+    sim = simulate(config, apd, spcm, 3.7, seed)
     counts = np.rint(sim.conditional_prob * sim.n_triggers).astype(np.int64)
-    dense = _dense_counts(config, apd, 3.7, seed, n_shards)
+    dense = _dense_counts(config, apd, 3.7, seed)
     assert np.array_equal(counts, dense)
     assert np.array_equal(sim.conditional_prob, dense / config.n_triggers)
 
@@ -249,32 +242,27 @@ def test_simulate_equals_dense_reference_at_chunk_boundaries(run_config, apd, n)
         _assert_matches_dense(_config(n_triggers=n), _noisy(apd), run_config.spcm, seed)
 
 
-@pytest.mark.parametrize("config_kw,apd_kw,n_shards", [
-    ({}, {"jitter_sigma_ns": 0.0}, 1),
-    ({"gate_open_lead_ns": 1.0}, {"edge_mask_enabled": True}, 1),
-    ({}, {"dark_prob_per_gate": 0.0}, 1),
-    ({}, {"dark_prob_per_gate": 0.3, "jitter_sigma_ns": 6.0}, 1),
-    ({"gate_open_lead_ns": 0.0}, {}, 1),
-    ({"gate_open_lead_ns": 1.0}, {}, 1),
-    ({"gate_open_lead_ns": 19.5}, {}, 1),
-    ({"pump_power_mw": 0.0}, {}, 1),
-    ({}, {}, 2),
-    ({}, {}, 3),
-    ({}, {}, 7),
+@pytest.mark.parametrize("config_kw,apd_kw", [
+    ({}, {"jitter_sigma_ns": 0.0}),
+    ({"gate_open_lead_ns": 1.0}, {"edge_mask_enabled": True}),
+    ({}, {"dark_prob_per_gate": 0.0}),
+    ({}, {"dark_prob_per_gate": 0.3, "jitter_sigma_ns": 6.0}),
+    ({"gate_open_lead_ns": 0.0}, {}),
+    ({"gate_open_lead_ns": 1.0}, {}),
+    ({"gate_open_lead_ns": 19.5}, {}),
+    ({"pump_power_mw": 0.0}, {}),
 ], ids=["sigma0", "edge_mask", "no_dark", "noisy", "lead0", "lead1", "lead19.5",
-        "zero_pump", "shards2", "shards3", "shards7"])
-def test_simulate_equals_dense_reference(run_config, apd, config_kw, apd_kw, n_shards):
+        "zero_pump"])
+def test_simulate_equals_dense_reference(run_config, apd, config_kw, apd_kw):
     config = _config(n_triggers=2 * CHUNK + 11, **config_kw)
     _assert_matches_dense(config, dataclasses.replace(apd, **apd_kw), run_config.spcm,
-                          seed=17, n_shards=n_shards)
+                          seed=17)
 
 
 def test_simulate_counts_do_not_depend_on_chunk_size(run_config, apd, monkeypatch):
     monkeypatch.setattr(montecarlo, "CHUNK", 7)
     for n in (1, 6, 7, 8, 50, 1001):
-        for n_shards in (1, 3):
-            _assert_matches_dense(_config(n_triggers=n), _noisy(apd), run_config.spcm,
-                                  seed=n, n_shards=n_shards)
+        _assert_matches_dense(_config(n_triggers=n), _noisy(apd), run_config.spcm, seed=n)
 
 
 def test_lead_past_gate_raises_exactly_when_a_photon_is_drawn(run_config, apd, monkeypatch):

@@ -1,11 +1,18 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from pairsim.errors import ConfigError, NoSolutionError
-from pairsim.qpm import (HALF_MAX_ARG, CrystalSpec, PhaseMatchPoint, _sinc2,
+import pairsim
+from pairsim import qpm
+from pairsim.errors import ConfigError, NoSolutionError, SolverError
+from pairsim.qpm import (HALF_MAX_ARG, CrystalSpec, PhaseMatchPoint, _brentq, _sinc2,
                          calibrate_period, fwhm_bandwidth, idler_from_energy,
                          phase_mismatch, pm_spectrum, solve_signal,
                          tuning_coefficient, tuning_curve, write_spectrum_csv,
@@ -186,8 +193,6 @@ def test_spectrum_peaks_at_solution(crystal, sellmeier):
 
 
 def test_spectrum_first_zero_at_pi(crystal, sellmeier):
-    from scipy.optimize import brentq
-
     point = solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
     half_l = crystal.length_mm * 1e-3 / 2.0
 
@@ -273,3 +278,81 @@ def test_csv_writers_round_trip(tmp_path, crystal, sellmeier):
     lines = spec_path.read_text("utf-8").splitlines()
     assert lines[0] == "lambda_i_nm,rel_eff"
     assert len(lines) == 12
+
+
+@pytest.fixture
+def brentq_calls(monkeypatch):
+    """Records (f, a, b, f_a, f_b, xtol, maxiter, (root, f(root))) of every
+    qpm._brentq call."""
+    calls = []
+
+    def spy(f, a, b, f_a, f_b, xtol, maxiter):
+        result = _brentq(f, a, b, f_a, f_b, xtol, maxiter)
+        calls.append((f, a, b, f_a, f_b, xtol, maxiter, result))
+        return result
+
+    monkeypatch.setattr(qpm, "_brentq", spy)
+    return calls
+
+
+def _assert_same_as_scipy(calls):
+    for f, a, b, f_a, f_b, xtol, maxiter, (root, f_root) in calls:
+        assert (f_a, f_b, f_root) == (f(a), f(b), f(root))
+        assert root == brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+
+
+def test_solver_roots_equal_scipy_brentq(crystal, sellmeier, brentq_calls):
+    temps = [20.0 + 0.5 * k for k in range(461)]
+    curve = tuning_curve(crystal, PUMP_NM, (20.0, 250.0), 0.5, model=sellmeier)
+    assert [row[0] for row in curve.rows] == temps
+    assert len(brentq_calls) == len(temps)
+    assert {(c[5], c[6]) for c in brentq_calls} == {(1e-6, 200)}
+    assert [c[7][0] for c in brentq_calls] == [row[1] for row in curve.rows]
+    _assert_same_as_scipy(brentq_calls)
+
+
+@pytest.mark.parametrize("temperature_c", [140.0, 142.0, 160.0, 184.0])
+def test_fwhm_half_points_equal_scipy_brentq(crystal, sellmeier, brentq_calls,
+                                             temperature_c):
+    point = solve_signal(crystal, PUMP_NM, temperature_c, model=sellmeier)
+    width_nm, _ = fwhm_bandwidth(crystal, point, model=sellmeier)
+    half_points = brentq_calls[1:]
+    assert [c[5] for c in half_points] == [1e-9, 1e-9]
+    assert width_nm == half_points[0][7][0] - half_points[1][7][0]
+    _assert_same_as_scipy(brentq_calls)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.cos(x) - x, 1.0, -2.0),
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
+    (lambda x: (x - 1.0) ** 3, -7.0, 1.5),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: math.copysign(abs(x - 0.2) ** 0.5, x - 0.2), -1.0, 3.0),
+    (lambda x: (x - 1.0) ** 3, 1.0, 2.0),    # exact zero at the lower end
+    (lambda x: (x - 1.0) ** 3, -2.0, 1.0),   # exact zero at the upper end
+], ids=["cubic", "cos", "cos_reversed", "triple", "triple_wide", "tanh_step",
+        "sqrt_cusp", "zero_at_a", "zero_at_b"])
+@pytest.mark.parametrize("xtol", [1e-6, 1e-9, 2e-12, 1e-15])
+def test_brentq_equals_scipy_on_toy_functions(f, a, b, xtol):
+    root, f_root = _brentq(f, a, b, f(a), f(b), xtol, 200)
+    assert root == brentq(f, a, b, xtol=xtol, maxiter=200)
+    assert f_root == f(root)
+
+
+def test_brentq_raises_solver_error_at_maxiter():
+    f = lambda x: math.cos(x) - x  # noqa: E731
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=3)
+    with pytest.raises(SolverError, match="did not converge in 3 iterations"):
+        _brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 3)
+
+
+def test_cli_import_does_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(pairsim.__file__).parents[1])}
+    code = ("import sys, pairsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout == "[]\n"
