@@ -2,14 +2,12 @@
 
 The APD model is data-driven: a piecewise-linear quantum-efficiency curve
 over overbias voltage plus per-gate dark probability and Gaussian
-click-time jitter.  Detection is split into two steps that take their
-random numbers as arrays, so a caller decides how they are drawn:
-``photon_clicks`` (photon-efficiency uniform and jitter normal per gate) and
-``dark_clicks`` (dark-count uniform and dark-time uniform per gate);
-``earliest_clicks`` merges them.  ``detect_in_gate_batch`` wraps the three
-around one ``numpy.random.Generator``, drawing per batch of n gates, in this
-order regardless of outcomes: (1) n photon-efficiency uniforms, (2) n jitter
-normals, (3) n dark-count uniforms, (4) n dark-time uniforms.
+click-time jitter.  ``detect_in_gate_batch`` samples it gate by gate from one
+``numpy.random.Generator``, drawing per batch of n gates, in this order
+regardless of outcomes: (1) n photon-efficiency uniforms, (2) n jitter
+normals, (3) n dark-count uniforms, (4) n dark-time uniforms.  It is the
+per-gate reference that the count-level sampler of ``montecarlo`` is
+checked against.
 """
 
 from __future__ import annotations
@@ -115,15 +113,18 @@ def effective_efficiency(model: GatedApdModel, arrival_offsets_ns,
     return qe_at_overbias(model, overbias_v) * _edge_factor(model, offsets)
 
 
-def photon_clicks(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
-                  overbias_v: float, u_qe: np.ndarray,
-                  normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Photon avalanches of a batch of gates; NaN offsets mark gates with no
-    photon.  ``u_qe`` holds one uniform and ``normals`` one standard normal
-    per gate.  Returns (gate indices, click times ns) of the gates where the
-    photon is detected and its jittered time falls inside the gate.
+def detect_in_gate_batch(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
+                         overbias_v: float,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised per-gate detection; NaN offsets mark gates with no photon.
+
+    Returns (clicked, click_times_ns); click times are NaN where no click
+    occurred.  A photon clicks only when its jittered time falls inside the
+    gate.  Earliest avalanche wins when both the photon and a dark count fire
+    in the same gate.
     """
     offsets = np.asarray(arrival_offsets_ns, dtype=float)
+    n = offsets.shape[0]
     gate = model.gate_length_ns
     has_photon = ~np.isnan(offsets)
     if np.any((offsets[has_photon] < 0) | (offsets[has_photon] >= gate)):
@@ -132,47 +133,11 @@ def photon_clicks(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
     eff = np.where(has_photon,
                    effective_efficiency(model, np.nan_to_num(offsets), overbias_v),
                    0.0)
-    photon_time = offsets + normals * model.jitter_sigma_ns
-    hit = np.flatnonzero(has_photon & (u_qe < eff)
-                         & (photon_time >= 0.0) & (photon_time < gate))
-    return hit, photon_time[hit]
-
-
-def dark_clicks(model: GatedApdModel, u_dark: np.ndarray,
-                u_time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dark avalanches of a batch of gates from one dark-count uniform and one
-    dark-time uniform per gate: (gate indices, click times ns)."""
-    hit = np.flatnonzero(u_dark < model.dark_prob_per_gate)
-    return hit, u_time[hit] * model.gate_length_ns
-
-
-def earliest_clicks(n: int, photon: tuple[np.ndarray, np.ndarray],
-                    dark: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per-gate click time over n gates from the (indices, times) of the two
-    steps; the earliest avalanche wins, inf marks a gate without a click."""
-    times = np.full(n, np.inf)
-    times[photon[0]] = photon[1]
-    times[dark[0]] = np.minimum(times[dark[0]], dark[1])
-    return times
-
-
-def detect_in_gate_batch(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
-                         overbias_v: float,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised per-gate detection; NaN offsets mark gates with no photon.
-
-    Returns (clicked, click_times_ns); click times are NaN where no click
-    occurred.  Earliest avalanche wins when both the photon and a dark
-    count fire in the same gate.
-    """
-    offsets = np.asarray(arrival_offsets_ns, dtype=float)
-    n = offsets.shape[0]
-    u_qe = rng.random(n)
-    normals = rng.normal(0.0, 1.0, n)
-    u_dark = rng.random(n)
-    u_time = rng.random(n)
-    times = earliest_clicks(n, photon_clicks(model, offsets, overbias_v, u_qe, normals),
-                            dark_clicks(model, u_dark, u_time))
+    detected = rng.random(n) < eff
+    times = offsets + rng.normal(0.0, 1.0, n) * model.jitter_sigma_ns
+    times = np.where(detected & (times >= 0.0) & (times < gate), times, np.inf)
+    dark = rng.random(n) < model.dark_prob_per_gate
+    times = np.where(dark, np.minimum(times, rng.random(n) * gate), times)
     clicked = np.isfinite(times)
     return clicked, np.where(clicked, times, np.nan)
 

@@ -8,48 +8,47 @@ trigger rates enter only through the rate cap.  Multi-pair events per gate
 are neglected (double-pair probability is far below the statistical
 resolution at the kHz trigger rates this models).
 
+Every gate sees the same arrival offset t0, so an idler is a click
+candidate with one probability q (pair survival times detection efficiency
+at t0), and each gate holds two independent competing risks: the candidate
+at the jittered time t0 + sigma z, which clicks only inside the gate [0, G),
+and a dark count (probability p_d) at a uniform time in [0, G).  The earlier
+avalanche wins.  ``analytic_expectation`` integrates these risks in closed
+form; ``simulate`` samples them at the level of counts, exact in
+distribution (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X).
+
 Randomness: one counter-based Philox stream, keyed by
-SeedSequence(entropy=seed, spawn_key=(0,)).  A run of n triggers reads it
-as five consecutive blocks, one value per trigger each; positions count
-the stream's 64-bit words:
+SeedSequence(entropy=seed, spawn_key=(0,)).  The run is cut into chunks of
+CHUNK triggers; per chunk of ``size`` triggers it draws, in this order:
 
-* pair-survival uniforms at [0, n);
-* photon-efficiency uniforms at [n, 2n);
-* jitter normals from 2n.  The ziggurat takes a variable number of words,
-  so this block ends at 2n + m, with m known only once it is drawn;
-* dark-count uniforms at [2n + m, 3n + m);
-* dark-time uniforms at [3n + m, 4n + m).
+1. K1 = binomial(size, q) photon candidates;
+2. K2 = binomial(size, p_d) dark gates;
+3. C = hypergeometric(K1, size - K1, K2) gates that hold both;
+4. K1 standard normals, the candidates' times (inf outside the gate or bins);
+5. K2 uniforms times G, the dark times.
 
-Philox is counter based, so a generator can be started at any of these
-positions (``Philox.advance`` plus the remainder of a four-word block).  The
-run is walked in CHUNK-sized steps twice.  The first walk reads from
-generators at 0, n and 2n and keeps only the photon clicks, as (trigger
-index, time) per chunk.  The normals generator has then reached 2n + m, so
-the second walk reads the dark counts from generators at 2n + m and
-3n + m, merges each chunk's clicks (the earliest wins) and histograms
-them.  Memory is O(CHUNK + photon clicks): a few MB of chunk arrays plus
-16 bytes per photon click, whatever n is.  The counts do not depend on
-CHUNK.
+The first C candidates share their gates with the first C dark counts and
+keep the earlier time.  Memory is O(CHUNK (q + p_d)) whatever the number of
+triggers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erf, sqrt
+from math import erf, pi, sqrt
 
 import numpy as np
 
-from .detector import (GatedApdModel, SpcmModel, dark_clicks, dark_prob, earliest_clicks,
-                       effective_efficiency, photon_clicks)
+from .detector import GatedApdModel, SpcmModel, dark_prob, effective_efficiency
 from .errors import ConfigError
 from .formatting import format_number, write_lines
 from .source import LossChain, chain_efficiency
 
 DEFAULT_COINCIDENCE_WINDOW_NS = 4.0
 
-# Triggers per step of the walk; each step holds a few float64
-# arrays of this length.
-CHUNK = 1 << 16
+# Triggers per chunk.  A fixed size makes the counts independent of how the
+# run is split, and keeps the hypergeometric's counts far below numpy's 1e9.
+CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -161,32 +160,51 @@ def _resolve_triggers(config: ExperimentConfig, capped_rate_hz: float) -> int:
     return n
 
 
-def _gaussian_bin_mass(edges_ns: np.ndarray, mean_ns: float, sigma_ns: float) -> np.ndarray:
-    """Probability mass of N(mean, sigma) in each bin (point mass if sigma=0)."""
+def _click_probability(config: ExperimentConfig, apd: GatedApdModel,
+                       overbias_v: float) -> float:
+    """q: probability that a trigger's idler is a click candidate (survives
+    and is detected at the gate-open lead, before jitter and dark counts).
+    A lead outside [0, gate length) is a ConfigError, whatever the pump."""
+    lead = config.gate_open_lead_ns
+    if not 0.0 <= lead < apd.gate_length_ns:
+        raise ConfigError(f"gate-open lead {lead:g} ns must lie in [0, gate length "
+                          f"{apd.gate_length_ns:g} ns)")
+    eff = float(effective_efficiency(apd, [lead], overbias_v)[0])
+    return pair_survival_probability(config) * eff
+
+
+def _jitter_cdf_pdf(t_ns: np.ndarray, mean_ns: float,
+                    sigma_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """P(T < t) and the density of T ~ N(mean, sigma^2) at each t; sigma = 0
+    is a point mass at the mean, with density 0 everywhere else."""
     if sigma_ns == 0.0:
-        mass = np.zeros(len(edges_ns) - 1)
-        idx = np.searchsorted(edges_ns, mean_ns, side="right") - 1
-        if 0 <= idx < len(mass):
-            mass[idx] = 1.0
-        return mass
-    z = (edges_ns - mean_ns) / (sigma_ns * sqrt(2.0))
-    cdf = np.array([0.5 * (1.0 + erf(v)) for v in z])
-    return np.diff(cdf)
+        return (t_ns > mean_ns).astype(float), np.zeros_like(t_ns)
+    z = (t_ns - mean_ns) / sigma_ns
+    cdf = np.array([0.5 * (1.0 + erf(v / sqrt(2.0))) for v in z])
+    return cdf, np.exp(-0.5 * z * z) / (sigma_ns * sqrt(2.0 * pi))
 
 
 def analytic_expectation(config: ExperimentConfig, apd: GatedApdModel,
                          spcm: SpcmModel, overbias_v: float) -> CoincidenceHistogram:
     """Exact expected histogram under the simulation model, no sampling.
 
-    Per bin: pair term = survival probability x detection efficiency x
-    jitter mass in the bin, plus the thinned dark floor.
+    With the candidate time T ~ N(t0, sigma^2), Phi0(t) = P(0 <= T < t) and
+    the dark rate r = p_d / G, bin [a, b) holds the photon clicks no earlier
+    dark count pre-empted plus the dark clicks no earlier photon pre-empted:
+    q int phi(t) (1 - r t) dt + r int (1 - q Phi0(t)) dt over [a, b).  Both
+    integrals are closed forms in the CDF and density at the bin edges:
+    int t phi = t0 [Phi] - sigma^2 [phi] and int Phi = [(t - t0) Phi + sigma^2 phi].
     """
     edges = config.bin_edges()
-    p_pair = pair_survival_probability(config)
-    eff = float(effective_efficiency(apd, [config.gate_open_lead_ns], overbias_v)[0])
-    mass = _gaussian_bin_mass(edges, config.gate_open_lead_ns, apd.jitter_sigma_ns)
-    accidental = np.full(config.n_bins, dark_prob(apd, config.bin_width_ns))
-    expected = p_pair * eff * mass + accidental
+    q = _click_probability(config, apd, overbias_v)
+    t0, sigma = config.gate_open_lead_ns, apd.jitter_sigma_ns
+    rate = apd.dark_prob_per_gate / apd.gate_length_ns
+    cdf, pdf = _jitter_cdf_pdf(edges, t0, sigma)
+    mass = np.diff(cdf)
+    first_moment = t0 * mass - sigma ** 2 * np.diff(pdf)
+    width = np.diff(edges)
+    cdf_integral = np.diff((edges - t0) * cdf + sigma ** 2 * pdf) - cdf[0] * width
+    expected = q * (mass - rate * first_moment) + rate * (width - q * cdf_integral)
 
     raw, capped, discard = trigger_budget(config, spcm)
     n_triggers = _resolve_triggers(config, capped)
@@ -195,7 +213,7 @@ def analytic_expectation(config: ExperimentConfig, apd: GatedApdModel,
         conditional_prob=expected,
         n_triggers=n_triggers,
         eta_c_total=float(expected.sum()),
-        accidental_level=accidental,
+        accidental_level=np.full(config.n_bins, dark_prob(apd, config.bin_width_ns)),
         trigger_rate_hz=capped,
         discard_fraction=discard,
     )
@@ -203,66 +221,39 @@ def analytic_expectation(config: ExperimentConfig, apd: GatedApdModel,
 
 def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
              overbias_v: float, seed: int) -> CoincidenceHistogram:
-    """Monte Carlo coincidence histogram; deterministic for a fixed seed."""
+    """Monte Carlo coincidence histogram, drawn chunk by chunk as the module
+    docstring says; deterministic for a fixed seed."""
     edges = config.bin_edges()
+    q = _click_probability(config, apd, overbias_v)
     raw, capped, discard = trigger_budget(config, spcm)
     n_triggers = _resolve_triggers(config, capped)
 
-    counts = _counts(config, apd, overbias_v, edges, seed, n_triggers)
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    lead, gate = config.gate_open_lead_ns, apd.gate_length_ns
+    counts = np.zeros(config.n_bins, dtype=np.int64)
+    for start in range(0, n_triggers, CHUNK):
+        size = min(CHUNK, n_triggers - start)
+        n_photon = rng.binomial(size, q)
+        n_dark = rng.binomial(size, apd.dark_prob_per_gate)
+        both = rng.hypergeometric(n_photon, size - n_photon, n_dark)
+        photon = lead + apd.jitter_sigma_ns * rng.standard_normal(n_photon)
+        photon[(photon < 0.0) | (photon >= min(gate, edges[-1]))] = np.inf
+        dark = rng.random(n_dark) * gate
+        photon[:both] = np.minimum(photon[:both], dark[:both])
+        counts += np.histogram(photon[np.isfinite(photon)], bins=edges)[0]
+        counts += np.histogram(dark[both:], bins=edges)[0]
+
     conditional = counts / n_triggers
-    accidental = np.full(config.n_bins, dark_prob(apd, config.bin_width_ns))
     return CoincidenceHistogram(
         bin_edges_ns=edges,
         conditional_prob=conditional,
         n_triggers=n_triggers,
         eta_c_total=float(conditional.sum()),
-        accidental_level=accidental,
+        accidental_level=np.full(config.n_bins, dark_prob(apd, config.bin_width_ns)),
         trigger_rate_hz=capped,
         discard_fraction=discard,
     )
-
-
-def _stream(seed: int, position: int) -> np.random.Generator:
-    """Generator on the run's Philox stream, ``position`` words in."""
-    bit_gen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    bit_gen.advance(position // 4)        # whole four-word blocks
-    bit_gen.random_raw(position % 4)
-    return np.random.Generator(bit_gen)
-
-
-def _position(rng: np.random.Generator) -> int:
-    """Words of its stream a Philox-backed generator has consumed."""
-    state = rng.bit_generator.state
-    counter = sum(int(limb) << (64 * i) for i, limb in enumerate(state["state"]["counter"]))
-    return 4 * counter - (4 - state["buffer_pos"])
-
-
-def _chunk_sizes(n: int) -> list[int]:
-    return [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
-
-
-def _counts(config: ExperimentConfig, apd: GatedApdModel, overbias_v: float,
-            edges: np.ndarray, seed: int, n: int) -> np.ndarray:
-    """Histogram counts of n triggers, walked as the module docstring says."""
-    p_pair = pair_survival_probability(config)
-    u_pair, u_qe, normals = _stream(seed, 0), _stream(seed, n), _stream(seed, 2 * n)
-    photon = []                         # per chunk: (indices in chunk, times)
-    for size in _chunk_sizes(n):
-        pair = np.flatnonzero(u_pair.random(size) < p_pair)
-        u = u_qe.random(size)
-        z = normals.normal(0.0, 1.0, size)
-        hit, times = photon_clicks(apd, np.full(pair.size, config.gate_open_lead_ns),
-                                   overbias_v, u[pair], z[pair])
-        photon.append((pair[hit], times))
-
-    end = _position(normals)
-    u_dark, u_time = _stream(seed, end), _stream(seed, end + n)
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    for size, clicks in zip(_chunk_sizes(n), photon):
-        t = earliest_clicks(size, clicks,
-                            dark_clicks(apd, u_dark.random(size), u_time.random(size)))
-        counts += np.histogram(t[np.isfinite(t)], bins=edges)[0]
-    return counts
 
 
 def coincidence_window_sum(hist: CoincidenceHistogram, window_ns: float) -> float:

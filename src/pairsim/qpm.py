@@ -185,7 +185,8 @@ def solve_signal(crystal: CrystalSpec, pump_nm: float, temperature_c: float,
 
     The idler is slaved to energy conservation.  Raises NoSolutionError
     (with the endpoint mismatches attached) when delta_k does not change
-    sign over the bracket.
+    sign over the bracket, and SolverError when |delta_k| at the root is not
+    below RESIDUAL_TOL_RAD_PER_M.
     """
     model = model or dispersion.default_model()
     lo, hi = bracket_nm
@@ -205,6 +206,10 @@ def solve_signal(crystal: CrystalSpec, pump_nm: float, temperature_c: float,
             endpoint_values=(f_lo, f_hi),
         )
     root, mismatch = _brentq(mismatch_at, lo, hi, f_lo, f_hi, _SOLVER_XTOL_NM, _SOLVER_MAXITER)
+    if not abs(mismatch) < RESIDUAL_TOL_RAD_PER_M:
+        raise SolverError(
+            f"signal root {root:.9g} nm at {temperature_c} C leaves delta_k = "
+            f"{mismatch:.6g} rad/m, not below {RESIDUAL_TOL_RAD_PER_M:g}")
     idler_nm = idler_from_energy(pump_nm, root)
     return PhaseMatchPoint(
         pump_nm=pump_nm,

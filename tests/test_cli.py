@@ -173,6 +173,16 @@ def test_simulate_analytic_mode_is_noise_free(tmp_path):
     assert all(row[2] == row[3] for row in data)
 
 
+@pytest.mark.parametrize("mode", [["--analytic"], ["--seed", "1"]], ids=["analytic", "seeded"])
+def test_simulate_lead_past_gate_exits_1(tmp_path, capsys, mode):
+    cfg = _variant_config(tmp_path, **{"gate_open_lead_ns = 8.0": "gate_open_lead_ns = 25.0"})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--triggers", "1000", "--out", str(out)]
+                + mode) == 1
+    assert "gate-open lead 25 ns" in capsys.readouterr().err
+    assert not (out / "histogram.csv").exists()
+
+
 def test_simulate_eta_in_reference_band(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0

@@ -22,16 +22,16 @@ RUNS = {
 }
 
 DIGESTS = {
-    ("repro", "stdout"): "c9d46f28145f4957b7ff9fdb6e6d7a8adbd54ca8c901c7fefc7bd49250317f6b",
+    ("repro", "stdout"): "d28f0b96c34a29dfbef8d825a635aca75cd9750ac10d9ba8dfe906afa4019ef0",
     ("repro", "tuning_curve.csv"): "67a2dbae0af7d5205e2196b9229927cd0fe69f4a2c81a5a9084a275bac2eedce",
     ("repro", "pm_spectrum.csv"): "10841c8b193828baa89e8efebf25d6fc2a45f50621fb1d75b6c1b1a1501e94de",
     ("repro", "budget.csv"): "0ea35f660f41a91d3e73eef04990bc8e067d109e27fbcd1bc86f7d11bc442887",
     ("repro", "budget.txt"): "6d999e97cda63600e40c9fb0924dd037c14bb725fbc1b1e0609f0d31c9d67dcb",
     ("repro", "detector_curve.csv"): "753c0b12c34dc3621a06ba3ef869b4114f48dd1c3a82f23367eaee1bc744ecc1",
-    ("repro", "histogram.csv"): "0e69b76132d5e0286671718c147fac376c02b289bb181ae352019020673d977c",
-    ("repro", "manifest.json"): "a1335a8f6732fe5922c068a50e01897d3c04bafa629d208dc9d2d824de253966",
-    ("simulate", "stdout"): "20fd1a1970a735b53986a5b071d67f288f35ab7acd4e2290d18b6d38c28aa240",
-    ("simulate", "histogram.csv"): "f8206b0ec6d61239932955e850e48882611210eb401bdb2efb53fe7a992aa04a",
+    ("repro", "histogram.csv"): "2f4245a7a0312304f3f0336bcae25a3764b587ca60e2320f39be18c0710298b6",
+    ("repro", "manifest.json"): "e87592270b5aafc043f22be69713ce8994530d4fd3db837eacfc66a6c942864b",
+    ("simulate", "stdout"): "f223a706bb33d162c917e7d924478cdecfacad4c43fae21b44874369c0c81030",
+    ("simulate", "histogram.csv"): "123d853c0b3bee7de04e0691f67854f6b030e06758541c3555c3734753b5e704",
     ("tune", "stdout"): "6fda8c024d39e436332d8c54aa8cbb700a52480cb689abd27944242b3a9db538",
     ("tune", "tuning_curve.csv"): "67a2dbae0af7d5205e2196b9229927cd0fe69f4a2c81a5a9084a275bac2eedce",
     ("spectrum", "stdout"): "56afa563b419c0b77dbc6cec4a78ded4f8e5c9f996a564c5bdd96a5f6f790550",

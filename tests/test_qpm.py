@@ -58,7 +58,7 @@ def test_solver_solution_satisfies_root_property(crystal, sellmeier):
     point = solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
     dk = phase_mismatch(crystal, point.pump_nm, point.signal_nm, point.idler_nm,
                         OVEN_C, model=sellmeier)
-    assert abs(dk) < 1e-3  # rad/m residual contract
+    assert abs(dk) < qpm.RESIDUAL_TOL_RAD_PER_M
     assert abs(dk) * crystal.length_mm * 1e-3 / 2 < 1e-6  # rad at the crystal scale
 
 
@@ -178,7 +178,7 @@ def test_energy_conservation_on_random_solver_outputs(crystal, sellmeier):
         residual = abs(1.0 / point.pump_nm - 1.0 / point.signal_nm
                        - 1.0 / point.idler_nm) * point.pump_nm
         assert residual <= 1e-9
-        assert abs(point.mismatch_rad_per_m) < 1e-3
+        assert abs(point.mismatch_rad_per_m) < qpm.RESIDUAL_TOL_RAD_PER_M
 
 
 def test_spectrum_peaks_at_solution(crystal, sellmeier):
@@ -347,6 +347,27 @@ def test_brentq_raises_solver_error_at_maxiter():
         brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=3)
     with pytest.raises(SolverError, match="did not converge in 3 iterations"):
         _brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 3)
+
+
+@pytest.mark.parametrize("residual,raises", [
+    (qpm.RESIDUAL_TOL_RAD_PER_M, True),
+    (-qpm.RESIDUAL_TOL_RAD_PER_M, True),
+    (math.nan, True),
+    (math.nextafter(qpm.RESIDUAL_TOL_RAD_PER_M, 0.0), False),
+])
+def test_solve_signal_enforces_residual_contract(crystal, sellmeier, monkeypatch,
+                                                 residual, raises):
+    real = qpm._brentq
+
+    def leaves_residual(*args):
+        return real(*args)[0], residual
+    monkeypatch.setattr(qpm, "_brentq", leaves_residual)
+    if raises:
+        with pytest.raises(SolverError, match="rad/m, not below"):
+            solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
+    else:
+        point = solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
+        assert point.mismatch_rad_per_m == residual
 
 
 def test_cli_import_does_not_load_scipy():
