@@ -30,11 +30,19 @@ EXIT_NUMERICAL = 2
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems with exit code 2; the exit-code
-    contract reserves 2 for numerical failures, so remap to 1."""
+    contract reserves 2 for numerical failures, so remap to 1.  A number
+    such as -inf or -1e3 is a value, not an option."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -50,12 +58,6 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return values[0], values[1], values[2]
 
 
-def _out_dir(cfg: RunConfig, override: str | None) -> Path:
-    path = Path(override if override is not None else cfg.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _require_seed(cfg: RunConfig, override: int | None) -> int:
     seed = override if override is not None else cfg.seed
     if seed is None:
@@ -69,9 +71,9 @@ def cmd_tune(cfg: RunConfig, temp_range: tuple[float, float, float],
     curve = qpm.tuning_curve(cfg.crystal, cfg.pump_wavelength_nm, (lo, hi), step,
                              bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
     qpm.write_tuning_csv(curve, out / "tuning_curve.csv")
-    print(f"tuning curve: {len(curve.rows)} rows over {lo}..{hi} C "
+    print(f"tuning curve: {len(curve)} rows over {lo}..{hi} C "
           f"({len(curve.failures)} failed solves) -> {out / 'tuning_curve.csv'}")
-    if len(curve.rows) >= 2:
+    if len(curve) >= 2:
         mid = 0.5 * (lo + hi)
         d_sig, d_idl = qpm.tuning_coefficient(curve, mid)
         print(f"tuning coefficient near {mid:g} C: signal {d_sig:+.4f} nm/C, "
@@ -298,7 +300,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             cfg = load_run_config(args.config)
-            out = _out_dir(cfg, args.out)
+            out = Path(args.out if args.out is not None else cfg.out_dir)  # made on first write
             if args.command == "tune":
                 cmd_tune(cfg, _parse_range(args.temp_range), out)
             elif args.command == "spectrum":

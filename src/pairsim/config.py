@@ -235,12 +235,6 @@ def load_run_config(source: str = DEFAULT_CONFIG) -> RunConfig:
     """Load a run configuration (path, or ``builtin:<name>`` for shipped data)."""
     sections = _read_ini(source, "run config", _RUN_SCHEMA)
     qpm, apd = sections["qpm"], sections["apd"]["model_file"]
-    experiment = ExperimentConfig(**sections["experiment"])
-    if experiment.window_ns > apd.gate_length_ns:
-        # Neither the simulator nor its oracle can count past the gate.
-        raise ConfigError(
-            f"run config {source}: [experiment] window_ns = {experiment.window_ns:g} "
-            f"exceeds the {apd.gate_length_ns:g}-ns APD gate")
     return RunConfig(
         sellmeier=sections["dispersion"]["model_file"],
         crystal=CrystalSpec(**sections["crystal"]),
@@ -250,7 +244,7 @@ def load_run_config(source: str = DEFAULT_CONFIG) -> RunConfig:
         apd=apd,
         overbias_v=sections["apd"]["overbias_v"],
         spcm=SpcmModel(**sections["spcm"]),
-        experiment=experiment,
+        experiment=ExperimentConfig(**sections["experiment"]),
         budget=BudgetInputs(**sections["budget"]),
         seed=sections["run"]["seed"],
         out_dir=sections["run"]["out_dir"],

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+
+import numpy as np
 
 from .errors import ConfigError, ValidityRangeError
 
@@ -49,33 +50,35 @@ class SellmeierModel:
             raise ConfigError(f"model '{self.name}': bad temperature range {tlo}..{thi} C")
 
 
-def _check_range(model: SellmeierModel, wavelength_um: float, temperature_c: float):
-    lo, hi = model.wavelength_range_um
-    if not lo <= wavelength_um <= hi:
-        raise ValidityRangeError(
-            f"wavelength {wavelength_um:g} um outside model '{model.name}' "
-            f"validity [{lo:g}, {hi:g}] um"
-        )
-    tlo, thi = model.temperature_range_c
-    if not tlo <= temperature_c <= thi:
-        raise ValidityRangeError(
-            f"temperature {temperature_c:g} C outside model '{model.name}' "
-            f"validity [{tlo:g}, {thi:g}] C"
-        )
+def _check_range(model: SellmeierModel, wavelength_um, temperature_c):
+    """ValidityRangeError for the first wavelength, else the first temperature,
+    outside the model's validity ranges."""
+    for what, unit, values, (lo, hi) in (
+            ("wavelength", "um", wavelength_um, model.wavelength_range_um),
+            ("temperature", "C", temperature_c, model.temperature_range_c)):
+        values = np.asarray(values)
+        if (outside := values[~((lo <= values) & (values <= hi))]).size:
+            raise ValidityRangeError(
+                f"{what} {outside[0]:g} {unit} outside model '{model.name}' "
+                f"validity [{lo:g}, {hi:g}] {unit}")
 
 
-def refractive_index(model: SellmeierModel, wavelength_um: float,
-                     temperature_c: float) -> float:
-    """Extraordinary refractive index n_e(lambda, T). Pure function."""
+def refractive_index(model: SellmeierModel, wavelength_um, temperature_c):
+    """Extraordinary refractive index n_e(lambda, T). Pure function.
+
+    Floats or float64 arrays, broadcast together; floats give a float.  Only
+    + - * / and sqrt are used, so an array element equals the float result.
+    """
     _check_range(model, wavelength_um, temperature_c)
     a1, a2, a3, a4, a5, a6, b1, b2, b3, b4 = model.coefficients
     f = (temperature_c - _F_T_A) * (temperature_c + _F_T_B)
     lam2 = wavelength_um * wavelength_um
-    n2 = (a1 + b1 * f
-          + (a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2)
-          + (a4 + b4 * f) / (lam2 - a5 * a5)
-          - a6 * lam2)
-    return sqrt(n2)
+    g = a3 + b3 * f
+    n = np.sqrt(a1 + b1 * f
+                + (a2 + b2 * f) / (lam2 - g * g)
+                + (a4 + b4 * f) / (lam2 - a5 * a5)
+                - a6 * lam2)
+    return n if isinstance(n, np.ndarray) else float(n)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 def format_number(x: float) -> str:
     """6 significant digits; scientific notation below 1e-3.
@@ -16,7 +18,9 @@ def format_number(x: float) -> str:
 
 
 def write_lines(path, lines) -> None:
-    """Write text lines with LF endings and UTF-8 encoding."""
+    """Write text lines with LF endings and UTF-8 encoding, creating the
+    file's directory if need be."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)

@@ -164,11 +164,16 @@ def _click_probability(config: ExperimentConfig, apd: GatedApdModel,
                        overbias_v: float) -> float:
     """q: probability that a trigger's idler is a click candidate (survives
     and is detected at the gate-open lead, before jitter and dark counts).
-    A lead outside [0, gate length) is a ConfigError, whatever the pump."""
+    A lead outside [0, gate length) or a window past the gate is a
+    ConfigError, whatever the pump: neither the sampler nor the oracle
+    counts past the gate."""
     lead = config.gate_open_lead_ns
     if not 0.0 <= lead < apd.gate_length_ns:
         raise ConfigError(f"gate-open lead {lead:g} ns must lie in [0, gate length "
                           f"{apd.gate_length_ns:g} ns)")
+    if config.window_ns > apd.gate_length_ns:
+        raise ConfigError(f"window_ns = {config.window_ns:g} exceeds the "
+                          f"{apd.gate_length_ns:g}-ns APD gate")
     eff = float(effective_efficiency(apd, [lead], overbias_v)[0])
     return pair_survival_probability(config) * eff
 

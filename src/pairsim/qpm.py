@@ -6,10 +6,12 @@ internally, matching the dispersion model), temperatures in degC, mismatch
 in rad/m.  All three waves use the extraordinary index; the grating
 compensates the mismatch with its order-m Fourier harmonic.
 
-Solver contract: the bracketed roots (phase-matched signal, FWHM half-points)
-come from ``_brentq``, which takes scipy.optimize.brentq's steps in the same
-floating-point order and so returns its roots bit for bit; scipy is used only
-in the tests, as the oracle.
+Solver contract: every bracketed root (the phase-matched signal at each
+temperature, the FWHM half-points) comes from one array solver, ``_brentq``,
+which takes scipy.optimize.brentq's steps on each element of a float64 array
+in the same floating-point order, so each root is scipy's bit for bit.  The
+functions it solves use only + - * / and sqrt, which IEEE 754 rounds alike
+in numpy's array loops and in Python floats; scipy is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import pi, sin
 from sys import float_info
+
+import numpy as np
 
 from . import dispersion
 from .dispersion import C_M_PER_S, SellmeierModel, refractive_index
@@ -37,6 +41,9 @@ DEFAULT_SIGNAL_BRACKET_NM = (760.0, 860.0)
 _SOLVER_XTOL_NM = 1e-6
 _SOLVER_MAXITER = 200
 _SOLVER_RTOL = 4 * float_info.epsilon  # scipy's brentq default
+
+# Temperatures solved, and tuning-curve rows written, per block.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -95,20 +102,28 @@ class PhaseMatchPoint:
 
 @dataclass
 class TuningCurve:
-    """Rows of (temperature, signal, idler); failed temperatures are kept
-    separately as (temperature, reason)."""
+    """The solved temperatures and their signal and idler wavelengths, as
+    float64 columns; failed temperatures are kept separately as
+    (temperature, reason)."""
 
-    rows: list[tuple[float, float, float]]
+    temperature_c: np.ndarray
+    signal_nm: np.ndarray
+    idler_nm: np.ndarray
     failures: list[tuple[float, str]] = field(default_factory=list)
 
+    def __len__(self) -> int:
+        return len(self.temperature_c)
 
-def idler_from_energy(pump_nm: float, signal_nm: float) -> float:
-    """Idler wavelength conjugate to the signal: 1/idler = 1/pump - 1/signal."""
+
+def idler_from_energy(pump_nm: float, signal_nm):
+    """Idler wavelength conjugate to the signal: 1/idler = 1/pump - 1/signal.
+    ``signal_nm`` is a float or a float64 array; a float gives a float."""
     if pump_nm <= 0:
         raise ConfigError(f"pump wavelength must be > 0, got {pump_nm}")
-    if signal_nm <= pump_nm:
+    signal = np.asarray(signal_nm)
+    if (below := signal[signal <= pump_nm]).size:
         raise ConfigError(
-            f"signal ({signal_nm} nm) must exceed the pump ({pump_nm} nm); "
+            f"signal ({below[0].item()} nm) must exceed the pump ({pump_nm} nm); "
             "no downconverted pair exists otherwise"
         )
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
@@ -123,59 +138,111 @@ def _index_sum_per_um(pump_nm, signal_nm, idler_nm, temperature_c,
             - refractive_index(model, li, temperature_c) / li)
 
 
-def phase_mismatch(crystal: CrystalSpec, pump_nm: float, signal_nm: float,
-                   idler_nm: float, temperature_c: float,
-                   model: SellmeierModel | None = None) -> float:
-    """delta_k = 2*pi*(n_p/lp - n_s/ls - n_i/li - m/Lambda(T)) in rad/m."""
+def phase_mismatch(crystal: CrystalSpec, pump_nm: float, signal_nm, idler_nm,
+                   temperature_c, model: SellmeierModel | None = None):
+    """delta_k = 2*pi*(n_p/lp - n_s/ls - n_i/li - m/Lambda(T)) in rad/m, for
+    floats (giving a float) or float64 arrays broadcast together."""
     model = model or dispersion.default_model()
     bracket = _index_sum_per_um(pump_nm, signal_nm, idler_nm, temperature_c, model)
     grating = crystal.qpm_order / crystal.period_at(temperature_c)
     return 2.0 * pi * (bracket - grating) * 1e6
 
 
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
-            xtol: float, maxiter: int) -> tuple[float, float]:
-    """(root, f(root)) of f between xpre and xcur, given fpre = f(xpre) and
-    fcur = f(xcur), which must not have the same sign.
+def _brentq(f, xpre, xcur, fpre, fcur, xtol: float, maxiter: int):
+    """(root, f(root)) of f between xpre and xcur for float64 arrays of one
+    shape, element by element; fpre = f(xpre) and fcur = f(xcur) must not
+    have the same sign at any element.
 
     Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4) step for step as scipy.optimize.brentq runs it
-    (scipy/optimize/Zeros/brentq.c, rtol = 4 eps).  Raises SolverError when
-    ``maxiter`` iterations do not converge.
+    Derivatives, 1973, ch. 4) as scipy.optimize.brentq runs it
+    (scipy/optimize/Zeros/brentq.c, rtol = 4 eps): np.where picks each
+    element's branch, every branch keeps scipy's floating-point order, and an
+    element retires on its own convergence test.  ``f(x, live)`` gets the
+    live elements' iterates and indices.  Raises SolverError when an element
+    has not converged in ``maxiter`` iterations.
     """
-    if fpre == 0.0:
-        return xpre, fpre
-    if fcur == 0.0:
-        return xcur, fcur
-    xblk = fblk = spre = scur = 0.0
+    root, froot = np.where(fpre == 0.0, [xpre, fpre], [xcur, fcur])
+    live = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
+    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk = fblk = spre = scur = np.zeros(live.size)
     for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):       # keep the best point in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _SOLVER_RTOL * abs(xcur)) / 2
+        flip = (fpre < 0.0) != (fcur < 0.0)
+        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, xcur - xpre, xcur - xpre],
+                                          [xblk, fblk, spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)          # keep the best point in xcur
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        delta = (xtol + _SOLVER_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[live[done]], froot[live[done]] = xcur[done], fcur[done]
+            live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[~done] for a in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                   delta, sbis))
+        if not live.size:
+            return root, froot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,
+                            -fcur * (xcur - xpre) / (fcur - fpre),                    # secant
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        accept = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                  & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(accept, [scur, stry], sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, live)
     raise SolverError(f"root solve did not converge in {maxiter} iterations")
+
+
+def _solve(crystal: CrystalSpec, pump_nm: float, temps: np.ndarray,
+           bracket_nm: tuple[float, float], model: SellmeierModel):
+    """solve_signal at every temperature of a float64 array, through one
+    _brentq call: (solved, signal_nm, idler_nm, mismatch, failures), where
+    ``solved`` indexes the temperatures with a root and ``failures`` lists
+    (index, exception) for the others, in index order, each with the
+    exception solve_signal raises at that temperature alone."""
+    lo, hi = bracket_nm
+
+    def mismatch_at(signal_nm, idx):
+        return phase_mismatch(crystal, pump_nm, signal_nm,
+                              idler_from_energy(pump_nm, signal_nm), temps[idx], model)
+
+    def endpoints(idx):
+        """(idx, delta_k at lo, at hi, failures); a ConfigError halves idx
+        until it belongs to one temperature."""
+        try:
+            if not 0 < lo < hi:
+                raise ConfigError(f"bad signal bracket {bracket_nm}")
+            return idx, mismatch_at(lo, idx), mismatch_at(hi, idx), []
+        except ConfigError as exc:
+            if idx.size == 1:
+                return idx[:0], np.empty(0), np.empty(0), [(int(idx[0]), exc)]
+        halves = [endpoints(half) for half in np.array_split(idx, 2)]
+        return (*(np.concatenate(col) for col in zip(*(h[:3] for h in halves))),
+                halves[0][3] + halves[1][3])
+
+    solved, f_lo, f_hi, failures = endpoints(np.arange(temps.size))
+    same_sign = ((f_lo > 0) & (f_hi > 0)) | ((f_lo < 0) & (f_hi < 0))
+    for k, a, b in zip(*(v[same_sign].tolist() for v in (solved, f_lo, f_hi))):
+        failures.append((k, NoSolutionError(
+            f"no phase-match root in signal bracket [{lo}, {hi}] nm at "
+            f"{temps[k].item()} C: delta_k = {a:.6g} / {b:.6g} rad/m",
+            endpoint_values=(a, b))))
+    failures.sort(key=lambda failure: failure[0])
+    solved, f_lo, f_hi = solved[~same_sign], f_lo[~same_sign], f_hi[~same_sign]
+    root, mismatch = _brentq(lambda x, live: mismatch_at(x, solved[live]),
+                             np.full(solved.size, lo), np.full(solved.size, hi),
+                             f_lo, f_hi, _SOLVER_XTOL_NM, _SOLVER_MAXITER)
+    off = np.flatnonzero(~(np.abs(mismatch) < RESIDUAL_TOL_RAD_PER_M))
+    if off.size:
+        k = off[0]
+        raise SolverError(
+            f"signal root {root[k]:.9g} nm at {temps[solved[k]].item()} C leaves delta_k = "
+            f"{mismatch[k]:.6g} rad/m, not below {RESIDUAL_TOL_RAD_PER_M:g}")
+    return solved, root, idler_from_energy(pump_nm, root), mismatch, failures
 
 
 def solve_signal(crystal: CrystalSpec, pump_nm: float, temperature_c: float,
@@ -186,38 +253,16 @@ def solve_signal(crystal: CrystalSpec, pump_nm: float, temperature_c: float,
     The idler is slaved to energy conservation.  Raises NoSolutionError
     (with the endpoint mismatches attached) when delta_k does not change
     sign over the bracket, and SolverError when |delta_k| at the root is not
-    below RESIDUAL_TOL_RAD_PER_M.
+    below RESIDUAL_TOL_RAD_PER_M.  This is the one-temperature case of the
+    tuning-curve solve.
     """
     model = model or dispersion.default_model()
-    lo, hi = bracket_nm
-    if not 0 < lo < hi:
-        raise ConfigError(f"bad signal bracket {bracket_nm}")
-
-    def mismatch_at(signal_nm: float) -> float:
-        idler_nm = idler_from_energy(pump_nm, signal_nm)
-        return phase_mismatch(crystal, pump_nm, signal_nm, idler_nm,
-                              temperature_c, model)
-
-    f_lo, f_hi = mismatch_at(lo), mismatch_at(hi)
-    if (f_lo > 0 and f_hi > 0) or (f_lo < 0 and f_hi < 0):
-        raise NoSolutionError(
-            f"no phase-match root in signal bracket [{lo}, {hi}] nm at "
-            f"{temperature_c} C: delta_k = {f_lo:.6g} / {f_hi:.6g} rad/m",
-            endpoint_values=(f_lo, f_hi),
-        )
-    root, mismatch = _brentq(mismatch_at, lo, hi, f_lo, f_hi, _SOLVER_XTOL_NM, _SOLVER_MAXITER)
-    if not abs(mismatch) < RESIDUAL_TOL_RAD_PER_M:
-        raise SolverError(
-            f"signal root {root:.9g} nm at {temperature_c} C leaves delta_k = "
-            f"{mismatch:.6g} rad/m, not below {RESIDUAL_TOL_RAD_PER_M:g}")
-    idler_nm = idler_from_energy(pump_nm, root)
-    return PhaseMatchPoint(
-        pump_nm=pump_nm,
-        signal_nm=root,
-        idler_nm=idler_nm,
-        temperature_c=temperature_c,
-        mismatch_rad_per_m=mismatch,
-    )
+    _, signal, idler, mismatch, failures = _solve(
+        crystal, pump_nm, np.array([temperature_c], dtype=float), bracket_nm, model)
+    if failures:
+        raise failures[0][1]
+    return PhaseMatchPoint(float(pump_nm), signal.item(), idler.item(),
+                           float(temperature_c), mismatch.item())
 
 
 def calibrate_period(crystal: CrystalSpec, pump_nm: float, target_signal_nm: float,
@@ -241,9 +286,10 @@ def tuning_curve(crystal: CrystalSpec, pump_nm: float,
                  temp_range_c: tuple[float, float], step_c: float,
                  bracket_nm: tuple[float, float] = DEFAULT_SIGNAL_BRACKET_NM,
                  model: SellmeierModel | None = None) -> TuningCurve:
-    """solve_signal over an inclusive temperature grid.
+    """solve_signal over the inclusive temperature grid lo + k * step_c,
+    _BLOCK temperatures per solve.
 
-    Temperatures whose solve fails are omitted from the rows and recorded
+    Temperatures whose solve fails are omitted from the columns and recorded
     in ``failures``.  An entirely empty curve raises NoSolutionError.
     """
     lo, hi = temp_range_c
@@ -253,24 +299,21 @@ def tuning_curve(crystal: CrystalSpec, pump_nm: float,
         raise ConfigError(f"temperature step must be > 0, got {step_c}")
     model = model or dispersion.default_model()
 
-    n_steps = int((hi - lo) / step_c + 1e-9)
-    temps = [lo + k * step_c for k in range(n_steps + 1)]
-
-    rows: list[tuple[float, float, float]] = []
-    failures: list[tuple[float, str]] = []
-    for t in temps:
-        try:
-            point = solve_signal(crystal, pump_nm, t, bracket_nm, model)
-        except (NoSolutionError, ConfigError) as exc:
-            failures.append((t, str(exc)))
-            continue
-        rows.append((t, point.signal_nm, point.idler_nm))
-    if not rows:
+    n_temps = int((hi - lo) / step_c + 1e-9) + 1
+    columns, failures = [], []
+    for start in range(0, n_temps, _BLOCK):
+        temps = lo + np.arange(start, min(start + _BLOCK, n_temps)) * step_c
+        solved, signal, idler, _, block_failures = _solve(crystal, pump_nm, temps,
+                                                          bracket_nm, model)
+        columns.append((temps[solved], signal, idler))
+        failures += [(temps[k].item(), str(exc)) for k, exc in block_failures]
+    curve = TuningCurve(*(np.concatenate(col) for col in zip(*columns)), failures=failures)
+    if not len(curve):
         raise NoSolutionError(
             f"no temperature in {lo}..{hi} C produced a phase-match root; "
             f"first failure: {failures[0][1] if failures else 'n/a'}"
         )
-    return TuningCurve(rows=rows, failures=failures)
+    return curve
 
 
 def tuning_coefficient(curve: TuningCurve, near_temp_c: float) -> tuple[float, float]:
@@ -279,16 +322,13 @@ def tuning_coefficient(curve: TuningCurve, near_temp_c: float) -> tuple[float, f
     Central difference on the neighbouring rows where possible, one-sided
     at the curve ends.
     """
-    if len(curve.rows) < 2:
+    if len(curve) < 2:
         raise ConfigError("tuning coefficient needs at least two curve rows")
-    temps = [r[0] for r in curve.rows]
-    idx = min(range(len(temps)), key=lambda i: abs(temps[i] - near_temp_c))
-    i_lo = max(idx - 1, 0)
-    i_hi = min(idx + 1, len(temps) - 1)
-    t_lo, s_lo, i_lo_nm = curve.rows[i_lo]
-    t_hi, s_hi, i_hi_nm = curve.rows[i_hi]
-    dt = t_hi - t_lo
-    return (s_hi - s_lo) / dt, (i_hi_nm - i_lo_nm) / dt
+    idx = int(np.argmin(np.abs(curve.temperature_c - near_temp_c)))
+    ends = [max(idx - 1, 0), min(idx + 1, len(curve) - 1)]
+    dt, ds, di = (np.diff(col[ends]).item()
+                  for col in (curve.temperature_c, curve.signal_nm, curve.idler_nm))
+    return ds / dt, di / dt
 
 
 def _sinc2(x: float) -> float:
@@ -311,14 +351,11 @@ def pm_spectrum(crystal: CrystalSpec, solution: PhaseMatchPoint,
     model = model or dispersion.default_model()
     half_l_m = crystal.length_mm * 1e-3 / 2.0
 
-    out = []
-    for k in range(n_points):
-        idler_nm = solution.idler_nm + idler_span_nm * (k / (n_points - 1) - 0.5)
-        signal_nm = 1.0 / (1.0 / solution.pump_nm - 1.0 / idler_nm)
-        dk = phase_mismatch(crystal, solution.pump_nm, signal_nm, idler_nm,
-                            solution.temperature_c, model)
-        out.append((idler_nm, _sinc2(dk * half_l_m)))
-    return out
+    idler_nm = solution.idler_nm + idler_span_nm * (np.arange(n_points) / (n_points - 1) - 0.5)
+    signal_nm = 1.0 / (1.0 / solution.pump_nm - 1.0 / idler_nm)
+    dk = phase_mismatch(crystal, solution.pump_nm, signal_nm, idler_nm,
+                        solution.temperature_c, model)
+    return [(i, _sinc2(x)) for i, x in zip(idler_nm.tolist(), (dk * half_l_m).tolist())]
 
 
 def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
@@ -332,7 +369,7 @@ def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
     model = model or dispersion.default_model()
     half_l_m = crystal.length_mm * 1e-3 / 2.0
 
-    def envelope_arg(idler_nm: float) -> float:
+    def envelope_arg(idler_nm):
         signal_nm = 1.0 / (1.0 / solution.pump_nm - 1.0 / idler_nm)
         dk = phase_mismatch(crystal, solution.pump_nm, signal_nm, idler_nm,
                             solution.temperature_c, model)
@@ -357,7 +394,10 @@ def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
             f_cur = envelope_arg(cur)
             if f_prev < 0.0 <= f_cur:
                 (a, f_a), (b, f_b) = sorted([(prev, f_prev), (cur, f_cur)])
-                return _brentq(envelope_arg, a, b, f_a, f_b, 1e-9, _SOLVER_MAXITER)[0]
+                root, _ = _brentq(lambda x, live: envelope_arg(x),
+                                  *(np.array([v]) for v in (a, b, f_a, f_b)),
+                                  1e-9, _SOLVER_MAXITER)
+                return root.item()
             prev, f_prev = cur, f_cur
             k += 1
         raise SpectralAnomalyError(
@@ -373,11 +413,15 @@ def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
 
 
 def write_tuning_csv(curve: TuningCurve, path) -> None:
-    """CSV with fixed column order (T_C, lambda_s_nm, lambda_i_nm)."""
-    lines = ["T_C,lambda_s_nm,lambda_i_nm"]
-    for t, s, i in curve.rows:
-        lines.append(f"{format_number(t)},{format_number(s)},{format_number(i)}")
-    write_lines(path, lines)
+    """CSV with fixed column order (T_C, lambda_s_nm, lambda_i_nm), formatted
+    _BLOCK rows at a time."""
+    def lines():
+        yield "T_C,lambda_s_nm,lambda_i_nm"
+        for start in range(0, len(curve), _BLOCK):
+            for t, s, i in zip(*(col[start:start + _BLOCK].tolist() for col in (
+                    curve.temperature_c, curve.signal_nm, curve.idler_nm))):
+                yield f"{format_number(t)},{format_number(s)},{format_number(i)}"
+    write_lines(path, lines())
 
 
 def write_spectrum_csv(rows: list[tuple[float, float]], path) -> None:

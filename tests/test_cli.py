@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import pairsim
-from pairsim import montecarlo
-from pairsim.cli import main
+from pairsim import dispersion, montecarlo, qpm
+from pairsim.cli import cmd_repro, main
 
 
 def _builtin_ini(name: str) -> str:
@@ -153,6 +154,18 @@ def test_simulate_non_finite_overbias_exits_1(tmp_path, capsys, overbias):
     assert not (out / "histogram.csv").exists()
 
 
+@pytest.mark.parametrize("overbias", ["-inf", "-nan"])
+def test_simulate_negative_non_finite_overbias_is_a_value(tmp_path, capsys, overbias):
+    # argparse would take "-inf" for an option; it must reach the finite check
+    out = tmp_path / "out"
+    code = main(["simulate", "--seed", "1", "--triggers", "1000",
+                 "--overbias", overbias, "--out", str(out)])
+    assert code == 1
+    assert (capsys.readouterr().err == "pairsim: configuration error: overbias must be "
+            f"a finite voltage, got {float(overbias)}\n")
+    assert not (out / "histogram.csv").exists()
+
+
 def test_warning_is_one_line_without_source_path(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(pairsim.__file__).parents[1])}
     result = subprocess.run(
@@ -289,3 +302,33 @@ def test_repro_manifest_without_mode_matching_stages_is_valid_json(tmp_path):
     assert manifest["all_pass"] is False
     (fig,) = [f for f in manifest["figures"] if f["name"] == "mode_matching"]
     assert fig["achieved"] is None and fig["pass"] is False and fig["reason"]
+
+
+def test_public_scalars_are_python_floats(tmp_path, run_config):
+    # a numpy scalar leaking out of the array solver turns a manifest "pass"
+    # into np.bool_, which json cannot write
+    cfg = dataclasses.replace(run_config, experiment=dataclasses.replace(
+        run_config.experiment, n_triggers=10_000, duration_s=None))
+    crystal, pump, model = cfg.crystal, cfg.pump_wavelength_nm, cfg.sellmeier
+    point = qpm.solve_signal(crystal, pump, 142.0, model=model)
+    curve = qpm.tuning_curve(crystal, pump, (0.0, 300.0), 25.0, model=model)
+    assert curve.failures
+    scalars = [
+        *(getattr(point, f.name) for f in dataclasses.fields(point)),
+        *qpm.tuning_coefficient(curve, 160.0),
+        *qpm.fwhm_bandwidth(crystal, point, model=model),
+        *(t for t, _ in curve.failures),
+        *(v for row in qpm.pm_spectrum(crystal, point, 8.0, 11, model=model) for v in row),
+        qpm.calibrate_period(crystal, pump, 808.0, 142.0, model=model),
+        qpm.idler_from_energy(pump, 808.0),
+        qpm.phase_mismatch(crystal, pump, 808.0, 1558.0, 142.0, model=model),
+        dispersion.refractive_index(model, 0.808, 142.0),
+    ]
+    assert [type(x) for x in scalars] == [float] * len(scalars)
+
+    manifest = cmd_repro(cfg, tmp_path / "out", 1)
+    json.dumps(manifest, allow_nan=False)
+    assert type(manifest["all_pass"]) is bool
+    for fig in manifest["figures"]:
+        assert type(fig["pass"]) is bool
+        assert {type(fig[key]) for key in ("achieved", "lo", "hi")} == {float}

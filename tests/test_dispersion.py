@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pairsim.config import load_sellmeier
@@ -91,3 +92,18 @@ def test_model_invariant_checks():
         SellmeierModel(name="x", coefficients=(1.0,) * 10,
                        wavelength_range_um=(2.0, 1.0),
                        temperature_range_c=(20.0, 250.0))
+
+
+def test_array_index_equals_float_index_bit_for_bit(sellmeier):
+    # + - * / and sqrt round alike in numpy's array loops and on floats
+    rng = np.random.default_rng(11)
+    lam, temp = rng.uniform(0.4, 5.0, 20_000), rng.uniform(20.0, 250.0, 20_000)
+    floats = [refractive_index(sellmeier, a, b) for a, b in zip(lam.tolist(), temp.tolist())]
+    assert refractive_index(sellmeier, lam, temp).tolist() == floats
+
+
+def test_array_range_error_names_first_bad_element(sellmeier):
+    with pytest.raises(ValidityRangeError, match=r"^wavelength 6 um"):
+        refractive_index(sellmeier, np.array([1.0, 6.0, 0.2]), np.array([25.0, 300.0, 25.0]))
+    with pytest.raises(ValidityRangeError, match=r"^temperature 300 C"):
+        refractive_index(sellmeier, 1.0, np.array([25.0, 300.0, 10.0]))

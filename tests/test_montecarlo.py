@@ -397,6 +397,18 @@ def test_lead_outside_gate_raises_before_sampling(run_config, apd, lead):
             simulate(config, apd, run_config.spcm, 3.7, seed=1)
 
 
+@pytest.mark.parametrize("path", ["simulate", "analytic_expectation"])
+def test_window_past_gate_raises_on_every_path(run_config, apd, path):
+    # the loader is not the only way in: the API must refuse it too, or the
+    # oracle puts probability in bins the sampler leaves empty
+    config = _config(window_ns=24.0)
+    with pytest.raises(ConfigError, match="window_ns = 24 exceeds the 20-ns APD gate"):
+        if path == "simulate":
+            simulate(config, apd, run_config.spcm, 3.7, seed=1)
+        else:
+            analytic_expectation(config, apd, run_config.spcm, 3.7)
+
+
 def test_simulate_memory_is_flat_in_triggers(run_config, apd):
     config = _config(n_triggers=100_000_000)
     tracemalloc.start()

@@ -43,6 +43,8 @@ def test_idler_from_energy_rejects_degenerate_input():
         idler_from_energy(532.0, 532.0)
     with pytest.raises(ConfigError):
         idler_from_energy(532.0, 500.0)
+    with pytest.raises(ConfigError, match=r"^signal \(500.0 nm\)"):
+        idler_from_energy(532.0, np.array([808.0, 500.0, 400.0]))
 
 
 def test_phase_match_point_invariants():
@@ -131,11 +133,10 @@ def test_calibration_stable_across_nearby_temperatures(crystal, sellmeier):
 
 def test_tuning_curve_reference_range(crystal, sellmeier):
     curve = tuning_curve(crystal, PUMP_NM, (140.0, 185.0), 5.0, model=sellmeier)
-    assert len(curve.rows) == 10
+    assert len(curve) == 10
     assert not curve.failures
-    temps = [r[0] for r in curve.rows]
-    signals = [r[1] for r in curve.rows]
-    idlers = [r[2] for r in curve.rows]
+    temps, signals, idlers = (col.tolist() for col in (
+        curve.temperature_c, curve.signal_nm, curve.idler_nm))
     assert temps == sorted(temps)
     assert all(b < a for a, b in zip(signals, signals[1:]))  # signal walks down
     assert all(b > a for a, b in zip(idlers, idlers[1:]))    # idler walks up
@@ -150,9 +151,9 @@ def test_tuning_coefficient_near_160(crystal, sellmeier):
 
 def test_tuning_curve_single_temperature_matches_solver(crystal, sellmeier):
     curve = tuning_curve(crystal, PUMP_NM, (OVEN_C, OVEN_C), 5.0, model=sellmeier)
-    assert len(curve.rows) == 1
+    assert len(curve) == 1
     point = solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
-    t, s, i = curve.rows[0]
+    t, s, i = (col.item() for col in (curve.temperature_c, curve.signal_nm, curve.idler_nm))
     assert (t, s, i) == (OVEN_C, point.signal_nm, point.idler_nm)
 
 
@@ -266,10 +267,10 @@ def test_csv_writers_round_trip(tmp_path, crystal, sellmeier):
     write_tuning_csv(curve, tuning_path)
     lines = tuning_path.read_text("utf-8").splitlines()
     assert lines[0] == "T_C,lambda_s_nm,lambda_i_nm"
-    assert len(lines) == 1 + len(curve.rows)
+    assert len(lines) == 1 + len(curve)
     t, s, i = (float(tok) for tok in lines[1].split(","))
-    assert (t, s, i) == (140.0, float(f"{curve.rows[0][1]:.6g}"),
-                         float(f"{curve.rows[0][2]:.6g}"))
+    assert (t, s, i) == (140.0, float(f"{curve.signal_nm[0]:.6g}"),
+                         float(f"{curve.idler_nm[0]:.6g}"))
 
     point = solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
     rows = pm_spectrum(crystal, point, idler_span_nm=4.0, n_points=11, model=sellmeier)
@@ -283,7 +284,7 @@ def test_csv_writers_round_trip(tmp_path, crystal, sellmeier):
 @pytest.fixture
 def brentq_calls(monkeypatch):
     """Records (f, a, b, f_a, f_b, xtol, maxiter, (root, f(root))) of every
-    qpm._brentq call."""
+    qpm._brentq call; all but f and the tolerances are arrays."""
     calls = []
 
     def spy(f, a, b, f_a, f_b, xtol, maxiter):
@@ -295,19 +296,29 @@ def brentq_calls(monkeypatch):
     return calls
 
 
+def _one_element(f, k):
+    """Element k of the array function f(x, live), as a function of a float
+    evaluated on a one-element array."""
+    return lambda x: f(np.array([x]), np.array([k]))[0]
+
+
 def _assert_same_as_scipy(calls):
+    """Every element's root is scipy's brentq root of that element alone."""
     for f, a, b, f_a, f_b, xtol, maxiter, (root, f_root) in calls:
-        assert (f_a, f_b, f_root) == (f(a), f(b), f(root))
-        assert root == brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+        for k in range(a.size):
+            g = _one_element(f, k)
+            assert (f_a[k], f_b[k], f_root[k]) == (g(a[k]), g(b[k]), g(root[k]))
+            assert root[k] == brentq(g, a[k], b[k], xtol=xtol, maxiter=maxiter)
 
 
 def test_solver_roots_equal_scipy_brentq(crystal, sellmeier, brentq_calls):
     temps = [20.0 + 0.5 * k for k in range(461)]
     curve = tuning_curve(crystal, PUMP_NM, (20.0, 250.0), 0.5, model=sellmeier)
-    assert [row[0] for row in curve.rows] == temps
-    assert len(brentq_calls) == len(temps)
-    assert {(c[5], c[6]) for c in brentq_calls} == {(1e-6, 200)}
-    assert [c[7][0] for c in brentq_calls] == [row[1] for row in curve.rows]
+    assert curve.temperature_c.tolist() == temps
+    (call,) = brentq_calls                       # one solve for the whole grid
+    assert call[1].size == len(temps)
+    assert (call[5], call[6]) == (1e-6, 200)
+    assert call[7][0].tolist() == curve.signal_nm.tolist()
     _assert_same_as_scipy(brentq_calls)
 
 
@@ -317,36 +328,69 @@ def test_fwhm_half_points_equal_scipy_brentq(crystal, sellmeier, brentq_calls,
     point = solve_signal(crystal, PUMP_NM, temperature_c, model=sellmeier)
     width_nm, _ = fwhm_bandwidth(crystal, point, model=sellmeier)
     half_points = brentq_calls[1:]
-    assert [c[5] for c in half_points] == [1e-9, 1e-9]
-    assert width_nm == half_points[0][7][0] - half_points[1][7][0]
+    assert [(c[1].size, c[5]) for c in half_points] == [(1, 1e-9), (1, 1e-9)]
+    assert width_nm == half_points[0][7][0][0] - half_points[1][7][0][0]
     _assert_same_as_scipy(brentq_calls)
 
 
+def _per_element(fn):
+    """math.fn applied to each element of an array."""
+    return lambda x: np.array([fn(v) for v in x.tolist()])
+
+
+def _cube(x):
+    return x * x * x
+
+
 @pytest.mark.parametrize("f,a,b", [
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: math.cos(x) - x, 1.0, -2.0),
-    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
-    (lambda x: (x - 1.0) ** 3, -7.0, 1.5),
-    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
-    (lambda x: math.copysign(abs(x - 0.2) ** 0.5, x - 0.2), -1.0, 3.0),
-    (lambda x: (x - 1.0) ** 3, 1.0, 2.0),    # exact zero at the lower end
-    (lambda x: (x - 1.0) ** 3, -2.0, 1.0),   # exact zero at the upper end
+    (lambda x: _cube(x) - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: _per_element(math.cos)(x) - x, 0.0, 1.0),
+    (lambda x: _per_element(math.cos)(x) - x, 1.0, -2.0),
+    (lambda x: _cube(x - 1.0), 0.0, 3.0),
+    (lambda x: _cube(x - 1.0), -7.0, 1.5),
+    (lambda x: _per_element(math.tanh)(50.0 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: np.copysign(np.sqrt(np.abs(x - 0.2)), x - 0.2), -1.0, 3.0),
+    (lambda x: _cube(x - 1.0), 1.0, 2.0),    # exact zero at the lower end
+    (lambda x: _cube(x - 1.0), -2.0, 1.0),   # exact zero at the upper end
 ], ids=["cubic", "cos", "cos_reversed", "triple", "triple_wide", "tanh_step",
         "sqrt_cusp", "zero_at_a", "zero_at_b"])
 @pytest.mark.parametrize("xtol", [1e-6, 1e-9, 2e-12, 1e-15])
 def test_brentq_equals_scipy_on_toy_functions(f, a, b, xtol):
-    root, f_root = _brentq(f, a, b, f(a), f(b), xtol, 200)
-    assert root == brentq(f, a, b, xtol=xtol, maxiter=200)
-    assert f_root == f(root)
+    g = _one_element(lambda x, live: f(x), 0)
+    root, f_root = _brentq(lambda x, live: f(x), np.array([a]), np.array([b]),
+                           np.array([g(a)]), np.array([g(b)]), xtol, 200)
+    assert root[0] == brentq(g, a, b, xtol=xtol, maxiter=200)
+    assert f_root[0] == g(root[0])
+
+
+def test_brentq_elements_converge_on_their_own():
+    # x^3 - c over [0, 10]: one call, each element retiring at its own
+    # iteration and f evaluated only on the elements still live
+    c = np.array([2.0, 1000.0, 0.001, 27.0, 5.5, 999.0, 1e-9, 0.0])
+    lives = []
+
+    def f(x, live):
+        lives.append(live)
+        return _cube(x) - c[live]
+    a, b = np.zeros(c.size), np.full(c.size, 10.0)
+    root, f_root = _brentq(f, a, b, -c, 1000.0 - c, 1e-12, 200)
+    evaluations = [sum(k in live for live in lives) for k in range(c.size)]
+    assert evaluations[1] == evaluations[-1] == 0    # f(b) = 0 at c = 1000, f(a) = 0 at c = 0
+    assert len(set(evaluations)) > 3
+    for k in range(c.size):
+        g = _one_element(lambda x, live: _cube(x) - c[live], k)
+        assert root[k] == brentq(g, a[k], b[k], xtol=1e-12, maxiter=200)
+        assert f_root[k] == g(root[k])
 
 
 def test_brentq_raises_solver_error_at_maxiter():
-    f = lambda x: math.cos(x) - x  # noqa: E731
+    f = lambda x: _per_element(math.cos)(x) - x  # noqa: E731
+    g = _one_element(lambda x, live: f(x), 0)
     with pytest.raises(RuntimeError):
-        brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=3)
+        brentq(g, 0.0, 1.0, xtol=1e-12, maxiter=3)
     with pytest.raises(SolverError, match="did not converge in 3 iterations"):
-        _brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12, 3)
+        _brentq(lambda x, live: f(x), np.array([0.0]), np.array([1.0]),
+                np.array([g(0.0)]), np.array([g(1.0)]), 1e-12, 3)
 
 
 @pytest.mark.parametrize("residual,raises", [
@@ -360,7 +404,8 @@ def test_solve_signal_enforces_residual_contract(crystal, sellmeier, monkeypatch
     real = qpm._brentq
 
     def leaves_residual(*args):
-        return real(*args)[0], residual
+        root, _ = real(*args)
+        return root, np.full_like(root, residual)
     monkeypatch.setattr(qpm, "_brentq", leaves_residual)
     if raises:
         with pytest.raises(SolverError, match="rad/m, not below"):
