@@ -16,12 +16,14 @@ import sys
 import warnings
 from math import isfinite
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from . import detector, montecarlo, qpm, source
 from .config import DEFAULT_CONFIG, RunConfig, load_run_config
 from .errors import ConfigError, SolverError
-from .formatting import format_number, write_lines
+from .formatting import csv_lines, format_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,44 +67,69 @@ def _require_seed(cfg: RunConfig, override: int | None) -> int:
     return seed
 
 
+class Output:
+    """What one command writes, held back until it has computed all of its
+    results: files in ``directory`` (name -> lines, possibly a generator),
+    then stdout lines, then stderr lines.  A command that raises leaves it
+    unwritten."""
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.files: dict[str, Iterable[str]] = {}
+        self.stdout: list[str] = []
+        self.stderr: list[str] = []
+
+    def file(self, name: str, lines) -> Path:
+        """Queue a file of text lines; returns the path it will be written to."""
+        self.files[name] = lines
+        return self.directory / name
+
+
+def _emit(output: Output) -> None:
+    """Write the files (UTF-8, LF endings), then print stdout and stderr:
+    the package's only output apart from warnings."""
+    for name, lines in output.files.items():
+        output.directory.mkdir(parents=True, exist_ok=True)
+        with open(output.directory / name, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(f"{line}\n")
+    sys.stdout.writelines(f"{line}\n" for line in output.stdout)
+    sys.stderr.writelines(f"{line}\n" for line in output.stderr)
+
+
 def cmd_tune(cfg: RunConfig, temp_range: tuple[float, float, float],
-             out: Path) -> qpm.TuningCurve:
+             output: Output) -> qpm.TuningCurve:
     lo, hi, step = temp_range
     curve = qpm.tuning_curve(cfg.crystal, cfg.pump_wavelength_nm, (lo, hi), step,
                              bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
-    qpm.write_tuning_csv(curve, out / "tuning_curve.csv")
-    print(f"tuning curve: {len(curve)} rows over {lo}..{hi} C "
-          f"({len(curve.failures)} failed solves) -> {out / 'tuning_curve.csv'}")
-    if len(curve) >= 2:
-        mid = 0.5 * (lo + hi)
-        d_sig, d_idl = qpm.tuning_coefficient(curve, mid)
-        print(f"tuning coefficient near {mid:g} C: signal {d_sig:+.4f} nm/C, "
-              f"idler {d_idl:+.4f} nm/C")
-    for t, reason in curve.failures:
-        print(f"  skipped T={t:g} C: {reason}", file=sys.stderr)
+    mid = 0.5 * (lo + hi)
+    slopes = qpm.tuning_coefficient(curve, mid) if len(curve) >= 2 else None
+
+    path = output.file("tuning_curve.csv", csv_lines(
+        "T_C,lambda_s_nm,lambda_i_nm", (curve.temperature_c, curve.signal_nm, curve.idler_nm)))
+    output.stdout.append(f"tuning curve: {len(curve)} rows over {lo}..{hi} C "
+                         f"({len(curve.failures)} failed solves) -> {path}")
+    if slopes is not None:
+        output.stdout.append(f"tuning coefficient near {mid:g} C: signal {slopes[0]:+.4f} "
+                             f"nm/C, idler {slopes[1]:+.4f} nm/C")
+    output.stderr += [f"  skipped T={t:g} C: {reason}" for t, reason in curve.failures]
     return curve
 
 
 def cmd_spectrum(cfg: RunConfig, temperature_c: float,
-                 out: Path) -> tuple[qpm.PhaseMatchPoint, tuple[float, float]]:
+                 output: Output) -> tuple[qpm.PhaseMatchPoint, tuple[float, float]]:
     """Spectrum around the operating point: (solution, (FWHM nm, FWHM GHz))."""
     solution = qpm.solve_signal(cfg.crystal, cfg.pump_wavelength_nm, temperature_c,
                                 bracket_nm=cfg.signal_bracket_nm, model=cfg.sellmeier)
     width_nm, width_ghz = qpm.fwhm_bandwidth(cfg.crystal, solution, model=cfg.sellmeier)
     rows = qpm.pm_spectrum(cfg.crystal, solution, idler_span_nm=6.0 * width_nm,
                            n_points=401, model=cfg.sellmeier)
-    qpm.write_spectrum_csv(rows, out / "pm_spectrum.csv")
-    print(f"operating point at {temperature_c:g} C: signal {solution.signal_nm:.3f} nm, "
-          f"idler {solution.idler_nm:.3f} nm")
-    print(f"FWHM: {width_nm:.4f} nm ({width_ghz:.2f} GHz) in the idler "
-          f"-> {out / 'pm_spectrum.csv'}")
+
+    path = output.file("pm_spectrum.csv", csv_lines("lambda_i_nm,rel_eff", np.array(rows).T))
+    output.stdout.append(f"operating point at {temperature_c:g} C: signal "
+                         f"{solution.signal_nm:.3f} nm, idler {solution.idler_nm:.3f} nm")
+    output.stdout.append(f"FWHM: {width_nm:.4f} nm ({width_ghz:.2f} GHz) in the idler -> {path}")
     return solution, (width_nm, width_ghz)
-
-
-def _detection_chain(cfg: RunConfig) -> source.LossChain:
-    """Idler loss chain with the APD quantum efficiency appended."""
-    qe = detector.qe_at_overbias(cfg.apd, cfg.overbias_v)
-    return source.LossChain(stages=cfg.experiment.idler_chain.stages + (("apd_qe", qe),))
 
 
 class BudgetFigures(NamedTuple):
@@ -112,49 +139,55 @@ class BudgetFigures(NamedTuple):
     brightness: float
 
 
-def cmd_budget(cfg: RunConfig, out: Path) -> BudgetFigures:
-    chain = _detection_chain(cfg)
-    table = source.render_budget_text(chain)
-    for line in table:
-        print(line)
-    source.write_budget_csv(chain, out / "budget.csv")
-
-    lines_extra = []
+def cmd_budget(cfg: RunConfig, output: Output) -> BudgetFigures:
+    # the idler chain, with the APD quantum efficiency appended
+    qe = detector.qe_at_overbias(cfg.apd, cfg.overbias_v)
+    chain = source.LossChain(stages=cfg.experiment.idler_chain.stages + (("apd_qe", qe),))
     coupling = cfg.experiment.idler_chain.get("coupling_matching")
     fiber = cfg.experiment.signal_chain.get("fiber_coupling")
     mode_match = None
     if coupling is not None and fiber is not None:
         mode_match = source.mode_matching_ratio(coupling, fiber)
-        lines_extra.append(f"signal-idler mode matching: {mode_match:.4f}")
     signal_detection = source.LossChain(
         stages=cfg.experiment.signal_chain.stages + (("spcm_qe", cfg.spcm.efficiency),))
     inferred = source.infer_generation_rate(
         cfg.budget.detected_signal_rate_per_mw, signal_detection)
-    lines_extra.append(f"inferred single-mode generation rate: {inferred:.6g} /s/mW")
     brightness = source.spectral_brightness(
         cfg.budget.freespace_pair_rate_per_mw, cfg.budget.signal_bandwidth_ghz)
-    lines_extra.append(f"free-space spectral brightness: {brightness:.6g} pairs/s/GHz/mW")
-    for line in lines_extra:
-        print(line)
-    write_lines(out / "budget.txt", table + lines_extra)
+
+    lines = source.render_budget_text(chain)
+    if mode_match is not None:
+        lines.append(f"signal-idler mode matching: {mode_match:.4f}")
+    lines += [f"inferred single-mode generation rate: {inferred:.6g} /s/mW",
+              f"free-space spectral brightness: {brightness:.6g} pairs/s/GHz/mW"]
+    names, effs, cumulative = zip(*source.budget_rows(chain))
+    output.file("budget.csv", csv_lines("stage,efficiency,cumulative",
+                                        np.array([effs, cumulative]), labels=names))
+    output.file("budget.txt", lines)
+    output.stdout += lines
     return BudgetFigures(source.chain_efficiency(chain), mode_match, inferred, brightness)
 
 
-def cmd_detector(cfg: RunConfig, sweep: tuple[float, float, float],
-                 out: Path) -> list[float]:
-    """Detector curve over an overbias sweep; returns the swept voltages."""
+def cmd_detector(cfg: RunConfig, sweep: tuple[float, float, float], output: Output) -> None:
+    """Detector curve over an overbias sweep."""
     lo, hi, step = sweep
     if hi < lo or step <= 0:
         raise ConfigError(f"bad overbias sweep {lo}:{hi}:{step}")
     n = int(round((hi - lo) / step)) if hi > lo else 0
     volts = [lo + k * step for k in range(n + 1)]
-    detector.write_detector_csv(cfg.apd, volts, out / "detector_curve.csv")
-    print(f"detector curve: {len(volts)} points over {lo}..{hi} V "
-          f"-> {out / 'detector_curve.csv'}")
-    return volts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clamped column marks them
+        qe = [detector.qe_at_overbias(cfg.apd, v) for v in volts]
+    span_lo, span_hi = cfg.apd.overbias_span
+    clamped = [int(v < span_lo or v > span_hi) for v in volts]
+
+    path = output.file("detector_curve.csv", csv_lines(
+        "overbias_v,qe,dark_prob_per_gate,clamped",
+        np.array([volts, qe, [cfg.apd.dark_prob_per_gate] * len(volts), clamped])))
+    output.stdout.append(f"detector curve: {len(volts)} points over {lo}..{hi} V -> {path}")
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, seed: int | None, triggers: int | None,
+def cmd_simulate(cfg: RunConfig, output: Output, seed: int | None, triggers: int | None,
                  analytic: bool, overbias: float | None) -> montecarlo.CoincidenceHistogram:
     experiment = cfg.experiment
     if triggers is not None:
@@ -167,16 +200,31 @@ def cmd_simulate(cfg: RunConfig, out: Path, seed: int | None, triggers: int | No
     else:
         run_seed = _require_seed(cfg, seed)
         hist = montecarlo.simulate(experiment, cfg.apd, cfg.spcm, overbias_v, run_seed)
-    montecarlo.write_histogram_csv(hist, expected, out / "histogram.csv")
+    window_ns = montecarlo.DEFAULT_COINCIDENCE_WINDOW_NS
+    window = montecarlo.coincidence_window_sum(hist, window_ns)
+    edges = hist.bin_edges_ns
+    # p_d w / G: what the model, and so analytic_expectation, puts in a bin
+    # that no photon reaches.
+    accidental = cfg.apd.dark_prob_per_gate / cfg.apd.gate_length_ns * np.diff(edges)
 
-    window = montecarlo.coincidence_window_sum(
-        hist, montecarlo.DEFAULT_COINCIDENCE_WINDOW_NS)
-    print(f"{'analytic expectation' if analytic else 'simulated'} histogram "
-          f"({hist.n_triggers} triggers) -> {out / 'histogram.csv'}")
-    print(f"eta_c_total = {format_number(hist.eta_c_total)}  "
-          f"(best 4-ns window sum {format_number(window)})")
-    print(f"trigger rate {format_number(hist.trigger_rate_hz)} /s, "
-          f"discard fraction {format_number(hist.discard_fraction)}")
+    path = output.file("histogram.csv", [
+        *csv_lines("bin_start_ns,bin_end_ns,conditional_prob,expected_prob,accidental_level",
+                   (edges[:-1], edges[1:], hist.conditional_prob, expected.conditional_prob,
+                    accidental)),
+        "# summary",
+        f"# n_triggers,{hist.n_triggers}",
+        f"# eta_c_total,{format_number(hist.eta_c_total)}",
+        f"# coincidence_window_ns,{format_number(window_ns)}",
+        f"# coincidence_window_sum,{format_number(window)}",
+        f"# trigger_rate_hz,{format_number(hist.trigger_rate_hz)}",
+        f"# discard_fraction,{format_number(hist.discard_fraction)}",
+    ])
+    output.stdout.append(f"{'analytic expectation' if analytic else 'simulated'} histogram "
+                         f"({hist.n_triggers} triggers) -> {path}")
+    output.stdout.append(f"eta_c_total = {format_number(hist.eta_c_total)}  "
+                         f"(best 4-ns window sum {format_number(window)})")
+    output.stdout.append(f"trigger rate {format_number(hist.trigger_rate_hz)} /s, "
+                         f"discard fraction {format_number(hist.discard_fraction)}")
     return hist
 
 
@@ -223,29 +271,28 @@ def _repro_figures(cfg: RunConfig, seed: int, curve: qpm.TuningCurve,
     ]
 
 
-def cmd_repro(cfg: RunConfig, out: Path, seed: int | None) -> dict:
-    """Run every subcommand, then write the achieved-vs-target manifest."""
+def cmd_repro(cfg: RunConfig, output: Output, seed: int | None) -> dict:
+    """Run every subcommand, then build the achieved-vs-target manifest."""
     run_seed = _require_seed(cfg, seed)
-    curve = cmd_tune(cfg, (140.0, 185.0, 5.0), out)
-    solution, fwhm = cmd_spectrum(cfg, cfg.temperature_c, out)
-    budget = cmd_budget(cfg, out)
-    cmd_detector(cfg, (0.5, 4.0, 0.1), out)
-    sim = cmd_simulate(cfg, out, run_seed, None, False, None)
+    curve = cmd_tune(cfg, (140.0, 185.0, 5.0), output)
+    solution, fwhm = cmd_spectrum(cfg, cfg.temperature_c, output)
+    budget = cmd_budget(cfg, output)
+    cmd_detector(cfg, (0.5, 4.0, 0.1), output)
+    sim = cmd_simulate(cfg, output, run_seed, None, False, None)
 
     figures = _repro_figures(cfg, run_seed, curve, solution, fwhm, budget, sim)
     for fig in figures:
         fig["pass"] = fig["achieved"] is not None and fig["lo"] <= fig["achieved"] <= fig["hi"]
     manifest = {"figures": figures, "all_pass": all(f["pass"] for f in figures)}
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+
+    path = output.file("manifest.json", [json.dumps(manifest, indent=2, allow_nan=False)])
     for fig in figures:
         status = "PASS" if fig["pass"] else "FAIL"
         achieved = (f"{fig['achieved']:.6g}" if fig["achieved"] is not None
                     else f"n/a, {fig['reason']}")
-        print(f"{status} {fig['name']}: {achieved} "
-              f"(target {fig['lo']:.6g} .. {fig['hi']:.6g})")
-    print(f"manifest -> {out / 'manifest.json'}")
+        output.stdout.append(f"{status} {fig['name']}: {achieved} "
+                             f"(target {fig['lo']:.6g} .. {fig['hi']:.6g})")
+    output.stdout.append(f"manifest -> {path}")
     return manifest
 
 
@@ -300,23 +347,22 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             cfg = load_run_config(args.config)
-            out = Path(args.out if args.out is not None else cfg.out_dir)  # made on first write
+            output = Output(Path(args.out if args.out is not None else cfg.out_dir))
             if args.command == "tune":
-                cmd_tune(cfg, _parse_range(args.temp_range), out)
+                cmd_tune(cfg, _parse_range(args.temp_range), output)
             elif args.command == "spectrum":
                 temp = (_parse_range(args.temp_range)[0] if args.temp_range is not None
                         else cfg.temperature_c)
-                cmd_spectrum(cfg, temp, out)
+                cmd_spectrum(cfg, temp, output)
             elif args.command == "budget":
-                cmd_budget(cfg, out)
+                cmd_budget(cfg, output)
             elif args.command == "detector-curve":
-                cmd_detector(cfg, _parse_range(args.overbias), out)
+                cmd_detector(cfg, _parse_range(args.overbias), output)
             elif args.command == "simulate":
-                cmd_simulate(cfg, out, args.seed, args.triggers, args.analytic, args.overbias)
+                cmd_simulate(cfg, output, args.seed, args.triggers, args.analytic, args.overbias)
             elif args.command == "repro":
-                cmd_repro(cfg, out, args.seed)
-            else:
-                raise ConfigError(f"unknown command {args.command}")
+                cmd_repro(cfg, output, args.seed)
+            _emit(output)
         except ConfigError as exc:
             print(f"pairsim: configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -5,8 +5,9 @@ name a Sellmeier coefficient file and an APD model file (a path, or
 ``builtin:<name>`` for shipped data).  Each kind of file is a schema, a table
 of sections whose fields are (key, parser, default) entries; that table is
 the only place an INI key is named.  Unknown sections or keys, missing
-required keys and values that do not parse are a ConfigError naming the
-file, the section and the key.  Command-line flags override file values.
+required keys, values that do not parse and numbers that are not finite are
+a ConfigError naming the file, the section and the key.  Command-line flags
+override file values.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from importlib import resources
+from math import isfinite
+from pathlib import Path
 
 from .detector import GatedApdModel, SpcmModel
 from .dispersion import SellmeierModel
@@ -69,9 +72,18 @@ def _boolean(text: str) -> bool:
     return states[text.lower()]
 
 
+def _number(text: str) -> float:
+    """The parser of every float in a file: nan and +-inf are refused, as no
+    model can represent them."""
+    value = float(text)
+    if not isfinite(value):
+        raise ConfigError(f"not a finite number: '{text.strip()}'")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     """Comma-separated numbers, possibly continued over several lines."""
-    return tuple(float(tok) for tok in text.split(","))
+    return tuple(_number(tok) for tok in text.split(","))
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -91,14 +103,14 @@ def _chain(text: str) -> LossChain:
         name, _, value = item.partition(":")
         if not value:
             raise ConfigError(f"bad loss-chain stage '{item}' (want 'name: efficiency')")
-        stages.append((name.strip(), float(value)))
+        stages.append((name.strip(), _number(value)))
     return LossChain(stages=tuple(stages))
 
 
 def _knots(text: str) -> tuple[tuple[float, float], ...]:
     """One 'overbias_V: efficiency' pair per line."""
     pairs = (line.split(":") for line in text.strip().splitlines())
-    return tuple((float(volt), float(eff)) for volt, eff in pairs)
+    return tuple((_number(volt), _number(eff)) for volt, eff in pairs)
 
 
 def _read_ini(source: str, kind: str, schema: dict) -> dict[str, dict]:
@@ -108,13 +120,10 @@ def _read_ini(source: str, kind: str, schema: dict) -> dict[str, dict]:
     section is required.  Returns {section: {key: value}} with defaults
     filled in.
     """
+    path = (resources.files("pairsim.data").joinpath(f"{source.split(':', 1)[1]}.ini")
+            if source.startswith("builtin:") else Path(source))
     try:
-        if source.startswith("builtin:"):
-            name = source.split(":", 1)[1]
-            text = resources.files("pairsim.data").joinpath(f"{name}.ini").read_text("utf-8")
-        else:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
+        text = path.read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} {source}: {exc}") from exc
 
@@ -172,10 +181,10 @@ def load_sellmeier(source: str) -> SellmeierModel:
 
 _APD_SCHEMA = {
     "apd": (
-        ("gate_length_ns", float, _REQUIRED),
-        ("dark_prob_per_gate", float, _REQUIRED),
-        ("jitter_sigma_ns", float, 1.0),
-        ("edge_mask_ns", float, 3.0),
+        ("gate_length_ns", _number, _REQUIRED),
+        ("dark_prob_per_gate", _number, _REQUIRED),
+        ("jitter_sigma_ns", _number, 1.0),
+        ("edge_mask_ns", _number, 3.0),
         ("edge_mask_enabled", _boolean, False),
     ),
     "qe_curve": (("knots", _knots, _REQUIRED),),
@@ -195,38 +204,38 @@ _RUN_SCHEMA = {
     ),
     "dispersion": (("model_file", load_sellmeier, _REQUIRED),),
     "crystal": (
-        ("length_mm", float, _REQUIRED),
-        ("poling_period_um", float, _REQUIRED),
+        ("length_mm", _number, _REQUIRED),
+        ("poling_period_um", _number, _REQUIRED),
         ("qpm_order", int, _REQUIRED),
-        ("thermal_expansion_per_c", float, _REQUIRED),
-        ("reference_temp_c", float, _REQUIRED),
+        ("thermal_expansion_per_c", _number, _REQUIRED),
+        ("reference_temp_c", _number, _REQUIRED),
     ),
     "qpm": (
-        ("pump_wavelength_nm", float, _REQUIRED),
-        ("temperature_c", float, _REQUIRED),
+        ("pump_wavelength_nm", _number, _REQUIRED),
+        ("temperature_c", _number, _REQUIRED),
         ("signal_bracket_nm", _pair, DEFAULT_SIGNAL_BRACKET_NM),
     ),
     "apd": (
         ("model_file", load_apd, _REQUIRED),
-        ("overbias_v", float, _REQUIRED),
+        ("overbias_v", _number, _REQUIRED),
     ),
-    "spcm": (("efficiency", float, _REQUIRED),),
+    "spcm": (("efficiency", _number, _REQUIRED),),
     "experiment": (
-        ("pump_power_mw", float, _REQUIRED),
-        ("singlemode_pair_rate_per_mw", float, _REQUIRED),
+        ("pump_power_mw", _number, _REQUIRED),
+        ("singlemode_pair_rate_per_mw", _number, _REQUIRED),
         ("signal_chain", _chain, _REQUIRED),
         ("idler_chain", _chain, _REQUIRED),
-        ("gate_open_lead_ns", float, 8.0),
-        ("max_trigger_rate_hz", float, 1.0e4),
-        ("bin_width_ns", float, 2.0),
-        ("window_ns", float, 20.0),
+        ("gate_open_lead_ns", _number, 8.0),
+        ("max_trigger_rate_hz", _number, 1.0e4),
+        ("bin_width_ns", _number, 2.0),
+        ("window_ns", _number, 20.0),
         ("n_triggers", _optional(int), None),
-        ("duration_s", _optional(float), None),
+        ("duration_s", _optional(_number), None),
     ),
     "budget": (
-        ("detected_signal_rate_per_mw", float, _REQUIRED),
-        ("freespace_pair_rate_per_mw", float, _REQUIRED),
-        ("signal_bandwidth_ghz", float, _REQUIRED),
+        ("detected_signal_rate_per_mw", _number, _REQUIRED),
+        ("freespace_pair_rate_per_mw", _number, _REQUIRED),
+        ("signal_bandwidth_ghz", _number, _REQUIRED),
     ),
 }
 

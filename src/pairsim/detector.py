@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .formatting import format_number, write_lines
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,7 @@ class GatedApdModel:
     def __post_init__(self):
         if not self.qe_curve:
             raise ConfigError("APD quantum-efficiency curve has no knots")
-        volts = [v for v, _ in self.qe_curve]
-        effs = [e for _, e in self.qe_curve]
+        volts, effs = zip(*self.qe_curve)
         if any(b <= a for a, b in zip(volts, volts[1:])):
             raise ConfigError("QE curve overbias values must be strictly increasing")
         if any(not 0.0 <= e <= 1.0 for e in effs):
@@ -79,21 +77,8 @@ def qe_at_overbias(model: GatedApdModel, overbias_v: float) -> float:
             f"overbias {overbias_v:g} V outside curve span [{lo:g}, {hi:g}] V; clamping",
             stacklevel=2,
         )
-    volts = np.array([v for v, _ in model.qe_curve])
-    effs = np.array([e for _, e in model.qe_curve])
+    volts, effs = np.array(model.qe_curve).T
     return float(np.interp(overbias_v, volts, effs))
-
-
-def dark_prob(model: GatedApdModel, window_ns: float) -> float:
-    """Dark-count probability in a sub-window of the gate.
-
-    Homogeneous-in-time thinning of the per-gate figure:
-    1 - (1 - p_gate)^(window / gate).
-    """
-    if not 0 < window_ns <= model.gate_length_ns:
-        raise ConfigError(
-            f"window {window_ns:g} ns must lie in (0, gate length {model.gate_length_ns:g} ns]")
-    return 1.0 - (1.0 - model.dark_prob_per_gate) ** (window_ns / model.gate_length_ns)
 
 
 def _edge_factor(model: GatedApdModel, offsets_ns: np.ndarray) -> np.ndarray:
@@ -140,19 +125,3 @@ def detect_in_gate_batch(model: GatedApdModel, arrival_offsets_ns: np.ndarray,
     times = np.where(dark, np.minimum(times, rng.random(n) * gate), times)
     clicked = np.isfinite(times)
     return clicked, np.where(clicked, times, np.nan)
-
-
-def write_detector_csv(model: GatedApdModel, sweep_v: list[float], path) -> None:
-    """(overbias, QE, dark-per-gate, clamped) CSV over an overbias sweep."""
-    lo, hi = model.overbias_span
-    lines = ["overbias_v,qe,dark_prob_per_gate,clamped"]
-    for v in sweep_v:
-        clamped = v < lo or v > hi
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            qe = qe_at_overbias(model, v)
-        lines.append(
-            f"{format_number(v)},{format_number(qe)},"
-            f"{format_number(model.dark_prob_per_gate)},{int(clamped)}"
-        )
-    write_lines(path, lines)

@@ -1,8 +1,10 @@
-"""Locale-independent number formatting for CSV and report output."""
+"""Locale-independent number formatting, and the one CSV formatter."""
 
 from __future__ import annotations
 
-from pathlib import Path
+# Rows formatted per slice, so a long CSV never holds its whole columns as
+# Python lists at once.
+_BLOCK = 4096
 
 
 def format_number(x: float) -> str:
@@ -17,11 +19,15 @@ def format_number(x: float) -> str:
     return f"{x:.6g}"
 
 
-def write_lines(path, lines) -> None:
-    """Write text lines with LF endings and UTF-8 encoding, creating the
-    file's directory if need be."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+def csv_lines(header: str, columns, labels=None):
+    """Yield the lines of a CSV: ``header``, then one row per index of the
+    equal-length numpy ``columns``, each cell through format_number, _BLOCK
+    rows at a time.  ``labels``, when given, is a leading column of strings
+    written as they are."""
+    yield header
+    for start in range(0, len(columns[0]), _BLOCK):
+        stop = start + _BLOCK
+        cells = [map(format_number, col[start:stop].tolist()) for col in columns]
+        if labels is not None:
+            cells.insert(0, labels[start:stop])
+        yield from map(",".join, zip(*cells))

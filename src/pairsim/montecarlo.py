@@ -30,6 +30,8 @@ CHUNK triggers; per chunk of ``size`` triggers it draws, in this order:
 The first C candidates share their gates with the first C dark counts and
 keep the earlier time.  Memory is O(CHUNK (q + p_d)) whatever the number of
 triggers.
+
+This module only computes: ``cli`` formats and writes the histogram.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from math import erf, pi, sqrt
 
 import numpy as np
 
-from .detector import GatedApdModel, SpcmModel, dark_prob, effective_efficiency
+from .detector import GatedApdModel, SpcmModel, effective_efficiency
 from .errors import ConfigError
-from .formatting import format_number, write_lines
 from .source import LossChain, chain_efficiency
 
 DEFAULT_COINCIDENCE_WINDOW_NS = 4.0
@@ -120,7 +121,6 @@ class CoincidenceHistogram:
     conditional_prob: np.ndarray
     n_triggers: int
     eta_c_total: float
-    accidental_level: np.ndarray
     trigger_rate_hz: float = 0.0
     discard_fraction: float = 0.0
 
@@ -218,7 +218,6 @@ def analytic_expectation(config: ExperimentConfig, apd: GatedApdModel,
         conditional_prob=expected,
         n_triggers=n_triggers,
         eta_c_total=float(expected.sum()),
-        accidental_level=np.full(config.n_bins, dark_prob(apd, config.bin_width_ns)),
         trigger_rate_hz=capped,
         discard_fraction=discard,
     )
@@ -255,7 +254,6 @@ def simulate(config: ExperimentConfig, apd: GatedApdModel, spcm: SpcmModel,
         conditional_prob=conditional,
         n_triggers=n_triggers,
         eta_c_total=float(conditional.sum()),
-        accidental_level=np.full(config.n_bins, dark_prob(apd, config.bin_width_ns)),
         trigger_rate_hz=capped,
         discard_fraction=discard,
     )
@@ -275,28 +273,3 @@ def coincidence_window_sum(hist: CoincidenceHistogram, window_ns: float) -> floa
         raise ConfigError(f"window {window_ns} ns exceeds the histogram span")
     windows = np.lib.stride_tricks.sliding_window_view(hist.conditional_prob, k)
     return float(windows.sum(axis=1).max())
-
-
-def write_histogram_csv(hist: CoincidenceHistogram, expected: CoincidenceHistogram,
-                        path, coincidence_window_ns: float = DEFAULT_COINCIDENCE_WINDOW_NS) -> None:
-    """Histogram CSV plus a commented summary block."""
-    lines = ["bin_start_ns,bin_end_ns,conditional_prob,expected_prob,accidental_level"]
-    for i in range(len(hist.conditional_prob)):
-        lines.append(",".join([
-            format_number(float(hist.bin_edges_ns[i])),
-            format_number(float(hist.bin_edges_ns[i + 1])),
-            format_number(float(hist.conditional_prob[i])),
-            format_number(float(expected.conditional_prob[i])),
-            format_number(float(hist.accidental_level[i])),
-        ]))
-    window_sum = coincidence_window_sum(hist, coincidence_window_ns)
-    lines += [
-        "# summary",
-        f"# n_triggers,{hist.n_triggers}",
-        f"# eta_c_total,{format_number(hist.eta_c_total)}",
-        f"# coincidence_window_ns,{format_number(coincidence_window_ns)}",
-        f"# coincidence_window_sum,{format_number(window_sum)}",
-        f"# trigger_rate_hz,{format_number(hist.trigger_rate_hz)}",
-        f"# discard_fraction,{format_number(hist.discard_fraction)}",
-    ]
-    write_lines(path, lines)

@@ -25,7 +25,6 @@ import numpy as np
 from . import dispersion
 from .dispersion import C_M_PER_S, SellmeierModel, refractive_index
 from .errors import ConfigError, NoSolutionError, SolverError, SpectralAnomalyError
-from .formatting import format_number, write_lines
 
 # |x| where sinc^2(x) = 1/2 (frozen from a bisection run; sinc(x) = sin(x)/x).
 HALF_MAX_ARG = 1.3915573782515103
@@ -42,7 +41,7 @@ _SOLVER_XTOL_NM = 1e-6
 _SOLVER_MAXITER = 200
 _SOLVER_RTOL = 4 * float_info.epsilon  # scipy's brentq default
 
-# Temperatures solved, and tuning-curve rows written, per block.
+# Temperatures solved per block.
 _BLOCK = 4096
 
 
@@ -410,23 +409,3 @@ def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
     width_nm = hi - lo
     width_ghz = C_M_PER_S * (width_nm * 1e-9) / (solution.idler_nm * 1e-9) ** 2 / 1e9
     return width_nm, width_ghz
-
-
-def write_tuning_csv(curve: TuningCurve, path) -> None:
-    """CSV with fixed column order (T_C, lambda_s_nm, lambda_i_nm), formatted
-    _BLOCK rows at a time."""
-    def lines():
-        yield "T_C,lambda_s_nm,lambda_i_nm"
-        for start in range(0, len(curve), _BLOCK):
-            for t, s, i in zip(*(col[start:start + _BLOCK].tolist() for col in (
-                    curve.temperature_c, curve.signal_nm, curve.idler_nm))):
-                yield f"{format_number(t)},{format_number(s)},{format_number(i)}"
-    write_lines(path, lines())
-
-
-def write_spectrum_csv(rows: list[tuple[float, float]], path) -> None:
-    """CSV with fixed column order (lambda_i_nm, rel_eff)."""
-    lines = ["lambda_i_nm,rel_eff"]
-    for idler_nm, eff in rows:
-        lines.append(f"{format_number(idler_nm)},{format_number(eff)}")
-    write_lines(path, lines)

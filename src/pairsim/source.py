@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import prod
 
 from .errors import ConfigError
-from .formatting import format_number, write_lines
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,12 @@ class LossChain:
                 raise ConfigError(f"stage '{name}' efficiency must lie in [0, 1], got {eff}")
 
     def get(self, name: str) -> float | None:
-        for stage_name, eff in self.stages:
-            if stage_name == name:
-                return eff
-        return None
+        return dict(self.stages).get(name)
 
 
 def chain_efficiency(chain: LossChain) -> float:
     """Product of all stage efficiencies (1.0 for an empty chain)."""
-    eff = 1.0
-    for _, stage_eff in chain.stages:
-        eff *= stage_eff
-    return eff
+    return prod((eff for _, eff in chain.stages), start=1.0)
 
 
 def infer_generation_rate(detected_rate_per_mw: float, chain: LossChain) -> float:
@@ -90,10 +84,3 @@ def render_budget_text(chain: LossChain) -> list[str]:
         lines.append(f"{name:<24}{eff:>12.4f}{cum:>12.4f}")
     lines.append(f"{'total':<24}{'':>12}{chain_efficiency(chain):>12.4f}")
     return lines
-
-
-def write_budget_csv(chain: LossChain, path) -> None:
-    lines = ["stage,efficiency,cumulative"]
-    for name, eff, cum in budget_rows(chain):
-        lines.append(f"{name},{format_number(eff)},{format_number(cum)}")
-    write_lines(path, lines)

@@ -11,7 +11,7 @@ import pytest
 
 import pairsim
 from pairsim import dispersion, montecarlo, qpm
-from pairsim.cli import cmd_repro, main
+from pairsim.cli import Output, cmd_repro, main
 
 
 def _builtin_ini(name: str) -> str:
@@ -196,6 +196,18 @@ def test_simulate_lead_past_gate_exits_1(tmp_path, capsys, mode):
     assert not (out / "histogram.csv").exists()
 
 
+def test_accidental_level_is_the_zero_pump_expectation(tmp_path):
+    # p_d w / G, what the model puts in a bin no photon reaches: bin by bin
+    # the expected_prob column of an analytic run without pump
+    cfg = _variant_config(tmp_path, **{"pump_power_mw = 1.0": "pump_power_mw = 0.0"})
+    out = tmp_path / "out"
+    assert main(["simulate", "--analytic", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "histogram.csv").read_text("utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == 10
+    assert [row[4] for row in rows] == [row[3] for row in rows] == ["1.10000e-04"] * 10
+
+
 def test_simulate_eta_in_reference_band(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0
@@ -326,9 +338,47 @@ def test_public_scalars_are_python_floats(tmp_path, run_config):
     ]
     assert [type(x) for x in scalars] == [float] * len(scalars)
 
-    manifest = cmd_repro(cfg, tmp_path / "out", 1)
+    output = Output(tmp_path / "out")
+    manifest = cmd_repro(cfg, output, 1)
+    assert not output.directory.exists()  # written only by the emit step
     json.dumps(manifest, allow_nan=False)
     assert type(manifest["all_pass"]) is bool
     for fig in manifest["figures"]:
         assert type(fig["pass"]) is bool
         assert {type(fig[key]) for key in ("achieved", "lo", "hi")} == {float}
+
+
+@pytest.mark.parametrize("kind,old,new,named", [
+    ("apd_ingaas", "jitter_sigma_ns = 1.0", "jitter_sigma_ns = nan", "[apd] jitter_sigma_ns"),
+    ("run", "pump_power_mw = 1.0", "pump_power_mw = nan", "[experiment] pump_power_mw"),
+    ("run", "max_trigger_rate_hz = 1.0e4", "max_trigger_rate_hz = nan",
+     "[experiment] max_trigger_rate_hz"),
+    ("run", "thermal_expansion_per_c = 1.5e-5", "thermal_expansion_per_c = nan",
+     "[crystal] thermal_expansion_per_c"),
+    ("lithium_niobate_e", "5.35583", "-inf", "[model] coefficients"),
+])
+def test_non_finite_ini_number_exits_1(tmp_path, capsys, kind, old, new, named):
+    path = tmp_path / f"{kind}.ini"
+    text = _builtin_ini("reference_setup" if kind == "run" else kind)
+    assert old in text, old
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    cfg = (str(path) if kind == "run"
+           else _variant_config(tmp_path, **{f"builtin:{kind}": str(path)}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--analytic", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and named in captured.err
+    assert "not a finite number" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["budget"], ["repro", "--seed", "1"]])
+def test_late_config_error_writes_nothing(tmp_path, capsys, command):
+    # the bandwidth is checked after the budget table is computed
+    cfg = _variant_config(tmp_path, **{"signal_bandwidth_ghz = 150.0":
+                                       "signal_bandwidth_ghz = 0"})
+    out = tmp_path / "out"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "bandwidth must be > 0 GHz" in captured.err
+    assert captured.out == "" and not out.exists()

@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from pairsim.cli import main
 from pairsim.config import load_apd
-from pairsim.detector import (GatedApdModel, SpcmModel, dark_prob, detect_in_gate_batch,
-                              effective_efficiency, qe_at_overbias, write_detector_csv)
+from pairsim.detector import (GatedApdModel, SpcmModel, detect_in_gate_batch,
+                              effective_efficiency, qe_at_overbias)
 from pairsim.errors import ConfigError
-
-# Frozen hand evaluation of 1 - (1 - 1.1e-3)^(2/20).
-DARK_2NS = 1.1005448796375106e-4
 
 
 def _rng(seed):
@@ -76,36 +74,6 @@ def test_curve_invariants_enforced():
         GatedApdModel(qe_curve=((1.0, 1.2),), dark_prob_per_gate=0.001, gate_length_ns=20.0)
     with pytest.raises(ConfigError):
         GatedApdModel(qe_curve=((1.0, 0.2),), dark_prob_per_gate=1.0, gate_length_ns=20.0)
-
-
-def test_dark_prob_full_gate(apd):
-    assert dark_prob(apd, 20.0) == pytest.approx(1.1e-3, abs=1e-15)
-
-
-def test_dark_prob_single_bin(apd):
-    assert dark_prob(apd, 2.0) == pytest.approx(DARK_2NS, abs=1e-12)
-    # roughly a tenth of the per-gate figure in the small-probability regime
-    assert dark_prob(apd, 2.0) == pytest.approx(apd.dark_prob_per_gate / 10, rel=1e-3)
-
-
-def test_dark_prob_vanishes_with_window(apd):
-    assert dark_prob(apd, 1e-9) < 1e-12
-
-
-def test_dark_prob_window_validation(apd):
-    with pytest.raises(ConfigError):
-        dark_prob(apd, 25.0)
-    with pytest.raises(ConfigError):
-        dark_prob(apd, 0.0)
-
-
-def test_dark_prob_thinning_consistency(apd):
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        w1 = rng.uniform(0.1, 10.0)
-        w2 = rng.uniform(0.1, 20.0 - w1 - 0.1)
-        combined = 1.0 - (1.0 - dark_prob(apd, w1)) * (1.0 - dark_prob(apd, w2))
-        assert combined == pytest.approx(dark_prob(apd, w1 + w2), abs=1e-12)
 
 
 def test_detect_deterministic_limit():
@@ -228,10 +196,11 @@ def test_spcm_model_invariants():
         SpcmModel(efficiency=1.5)
 
 
-def test_detector_csv_marks_clamped_rows(tmp_path, apd):
-    path = tmp_path / "curve.csv"
-    write_detector_csv(apd, [0.2, 3.7, 4.5], path)
-    lines = path.read_text("utf-8").splitlines()
+def test_detector_csv_marks_clamped_rows(tmp_path):
+    # 0.2, 3.7 and 7.2 V: below, inside and above the reference curve's span
+    assert main(["detector-curve", "--overbias", "0.2:7.2:3.5", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "detector_curve.csv").read_text("utf-8").splitlines()
+    assert len(lines) == 4
     assert lines[0] == "overbias_v,qe,dark_prob_per_gate,clamped"
     rows = [line.split(",") for line in lines[1:]]
     assert rows[0][3] == "1" and rows[2][3] == "1"

@@ -30,10 +30,10 @@ DIGESTS = {
     ("repro", "budget.csv"): "0ea35f660f41a91d3e73eef04990bc8e067d109e27fbcd1bc86f7d11bc442887",
     ("repro", "budget.txt"): "6d999e97cda63600e40c9fb0924dd037c14bb725fbc1b1e0609f0d31c9d67dcb",
     ("repro", "detector_curve.csv"): "753c0b12c34dc3621a06ba3ef869b4114f48dd1c3a82f23367eaee1bc744ecc1",
-    ("repro", "histogram.csv"): "2f4245a7a0312304f3f0336bcae25a3764b587ca60e2320f39be18c0710298b6",
+    ("repro", "histogram.csv"): "e11bb9b9230af11116f6b5472bd41ebb511e8b8771731389d101ba538f71e188",
     ("repro", "manifest.json"): "e87592270b5aafc043f22be69713ce8994530d4fd3db837eacfc66a6c942864b",
     ("simulate", "stdout"): "f223a706bb33d162c917e7d924478cdecfacad4c43fae21b44874369c0c81030",
-    ("simulate", "histogram.csv"): "123d853c0b3bee7de04e0691f67854f6b030e06758541c3555c3734753b5e704",
+    ("simulate", "histogram.csv"): "859120be36e2eb2fd5b9340e8a12ec45e9de1f8e7aae9e6c105105078c6815d4",
     ("tune", "stdout"): "6fda8c024d39e436332d8c54aa8cbb700a52480cb689abd27944242b3a9db538",
     ("tune", "tuning_curve.csv"): "67a2dbae0af7d5205e2196b9229927cd0fe69f4a2c81a5a9084a275bac2eedce",
     ("tune-dense", "stdout"):

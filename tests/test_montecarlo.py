@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from pairsim import montecarlo
-from pairsim.detector import (GatedApdModel, dark_prob, detect_in_gate_batch,
-                              effective_efficiency)
+from pairsim.cli import Output, _emit, cmd_simulate
+from pairsim.detector import GatedApdModel, detect_in_gate_batch, effective_efficiency
 from pairsim.errors import ConfigError
 from pairsim.montecarlo import (CHUNK, CoincidenceHistogram, ExperimentConfig,
                                 analytic_expectation, coincidence_window_sum,
-                                pair_survival_probability, simulate,
-                                trigger_budget, write_histogram_csv)
+                                pair_survival_probability, simulate, trigger_budget)
 from pairsim.source import LossChain
 
 
@@ -127,7 +126,6 @@ def test_analytic_conservation(run_config, apd):
         p_d = model.dark_prob_per_gate
         assert hist.eta_c_total == pytest.approx(1 - (1 - q * m) * (1 - p_d), abs=1e-15)
         assert hist.eta_c_total == pytest.approx(hist.conditional_prob.sum(), abs=0.0)
-        assert np.all(hist.accidental_level == dark_prob(model, width))
 
 
 def test_analytic_zero_jitter_is_single_bin(run_config, apd):
@@ -202,12 +200,12 @@ def test_window_sum_uniform_and_single_bin():
     edges = np.arange(0.0, 22.0, 2.0)
     uniform = CoincidenceHistogram(
         bin_edges_ns=edges, conditional_prob=np.full(10, 0.01), n_triggers=100,
-        eta_c_total=0.1, accidental_level=np.zeros(10))
+        eta_c_total=0.1)
     assert coincidence_window_sum(uniform, 20.0) == pytest.approx(0.1, rel=1e-12)
 
     single = CoincidenceHistogram(
         bin_edges_ns=np.array([0.0, 2.0]), conditional_prob=np.array([0.42]),
-        n_triggers=100, eta_c_total=0.42, accidental_level=np.zeros(1))
+        n_triggers=100, eta_c_total=0.42)
     assert coincidence_window_sum(single, 2.0) == pytest.approx(0.42)
 
 
@@ -216,8 +214,7 @@ def test_window_sum_picks_highest_mass_window():
     probs = np.zeros(10)
     probs[3], probs[4] = 0.3, 0.4
     hist = CoincidenceHistogram(bin_edges_ns=edges, conditional_prob=probs,
-                                n_triggers=100, eta_c_total=0.7,
-                                accidental_level=np.zeros(10))
+                                n_triggers=100, eta_c_total=0.7)
     assert coincidence_window_sum(hist, 4.0) == pytest.approx(0.7)
 
 
@@ -227,8 +224,7 @@ def test_window_sum_equals_loop_over_windows():
         probs = rng.random(n) * 1e-2
         hist = CoincidenceHistogram(bin_edges_ns=np.arange(n + 1) * 2.0,
                                     conditional_prob=probs, n_triggers=1,
-                                    eta_c_total=float(probs.sum()),
-                                    accidental_level=np.zeros(n))
+                                    eta_c_total=float(probs.sum()))
         for k in range(1, n + 1):
             loop = max(float(probs[i:i + k].sum()) for i in range(n - k + 1))
             assert coincidence_window_sum(hist, 2.0 * k) == loop
@@ -237,20 +233,26 @@ def test_window_sum_equals_loop_over_windows():
 def test_window_sum_validation():
     edges = np.arange(0.0, 22.0, 2.0)
     hist = CoincidenceHistogram(bin_edges_ns=edges, conditional_prob=np.zeros(10),
-                                n_triggers=1, eta_c_total=0.0,
-                                accidental_level=np.zeros(10))
+                                n_triggers=1, eta_c_total=0.0)
     with pytest.raises(ConfigError):
         coincidence_window_sum(hist, 3.0)  # not bin aligned
     with pytest.raises(ConfigError):
         coincidence_window_sum(hist, 24.0)  # wider than the histogram
 
 
-def test_histogram_csv_round_trip(tmp_path, run_config, apd):
+def _histogram_csv(run_config, config, out, seed):
+    """Write ``simulate``'s histogram.csv for ``config`` into ``out`` as the
+    CLI does; returns the simulated histogram and the file's path."""
+    output = Output(out)
+    cfg = dataclasses.replace(run_config, experiment=config, overbias_v=3.7)
+    sim = cmd_simulate(cfg, output, seed, None, False, None)
+    _emit(output)
+    return sim, out / "histogram.csv"
+
+
+def test_histogram_csv_round_trip(tmp_path, run_config):
     config = _config(n_triggers=50_000)
-    sim = simulate(config, apd, run_config.spcm, 3.7, seed=33)
-    expected = analytic_expectation(config, apd, run_config.spcm, 3.7)
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(sim, expected, path)
+    sim, path = _histogram_csv(run_config, config, tmp_path / "first", 33)
     lines = path.read_text("utf-8").splitlines()
     assert lines[0] == "bin_start_ns,bin_end_ns,conditional_prob,expected_prob,accidental_level"
     data = [line.split(",") for line in lines[1:] if not line.startswith("#")]
@@ -266,9 +268,7 @@ def test_histogram_csv_round_trip(tmp_path, run_config, apd):
     assert any("discard_fraction" in line for line in summary)
 
     # byte-identical rewrite for the same seed
-    again = simulate(config, apd, run_config.spcm, 3.7, seed=33)
-    path2 = tmp_path / "hist2.csv"
-    write_histogram_csv(again, expected, path2)
+    _, path2 = _histogram_csv(run_config, config, tmp_path / "again", 33)
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -11,12 +11,12 @@ from scipy.optimize import brentq
 
 import pairsim
 from pairsim import qpm
+from pairsim.cli import Output, _emit, cmd_spectrum, cmd_tune
 from pairsim.errors import ConfigError, NoSolutionError, SolverError
 from pairsim.qpm import (HALF_MAX_ARG, CrystalSpec, PhaseMatchPoint, _brentq, _sinc2,
                          calibrate_period, fwhm_bandwidth, idler_from_energy,
                          phase_mismatch, pm_spectrum, solve_signal,
-                         tuning_coefficient, tuning_curve, write_spectrum_csv,
-                         write_tuning_csv)
+                         tuning_coefficient, tuning_curve)
 
 PUMP_NM = 532.1
 OVEN_C = 142.0
@@ -261,24 +261,21 @@ def test_crystal_spec_invariants():
         CrystalSpec(length_mm=20.0, poling_period_um=21.6, qpm_order=2)
 
 
-def test_csv_writers_round_trip(tmp_path, crystal, sellmeier):
-    curve = tuning_curve(crystal, PUMP_NM, (140.0, 150.0), 5.0, model=sellmeier)
-    tuning_path = tmp_path / "tuning.csv"
-    write_tuning_csv(curve, tuning_path)
-    lines = tuning_path.read_text("utf-8").splitlines()
+def test_csv_writers_round_trip(tmp_path, run_config):
+    output = Output(tmp_path)
+    curve = cmd_tune(run_config, (140.0, 150.0, 5.0), output)
+    cmd_spectrum(run_config, OVEN_C, output)
+    _emit(output)
+    lines = (tmp_path / "tuning_curve.csv").read_text("utf-8").splitlines()
     assert lines[0] == "T_C,lambda_s_nm,lambda_i_nm"
     assert len(lines) == 1 + len(curve)
     t, s, i = (float(tok) for tok in lines[1].split(","))
     assert (t, s, i) == (140.0, float(f"{curve.signal_nm[0]:.6g}"),
                          float(f"{curve.idler_nm[0]:.6g}"))
 
-    point = solve_signal(crystal, PUMP_NM, OVEN_C, model=sellmeier)
-    rows = pm_spectrum(crystal, point, idler_span_nm=4.0, n_points=11, model=sellmeier)
-    spec_path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(rows, spec_path)
-    lines = spec_path.read_text("utf-8").splitlines()
+    lines = (tmp_path / "pm_spectrum.csv").read_text("utf-8").splitlines()
     assert lines[0] == "lambda_i_nm,rel_eff"
-    assert len(lines) == 12
+    assert len(lines) == 1 + 401
 
 
 @pytest.fixture

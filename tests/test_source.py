@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pairsim.errors import ConfigError
+from pairsim.formatting import csv_lines
 from pairsim.source import (LossChain, budget_rows, chain_efficiency, infer_generation_rate,
-                            mode_matching_ratio, render_budget_text, spectral_brightness,
-                            write_budget_csv)
+                            mode_matching_ratio, render_budget_text, spectral_brightness)
 
 REFERENCE_CHAIN = LossChain(stages=(
     ("apd_qe", 0.20), ("propagation", 0.85), ("coupling_matching", 0.18)))
@@ -123,15 +123,15 @@ def test_budget_rows_cumulative_column():
         assert cum == pytest.approx(running, rel=1e-15)
 
 
-def test_budget_render_and_csv(tmp_path):
+def test_budget_render_and_csv():
     text = render_budget_text(REFERENCE_CHAIN)
     assert "total" in text[-1] and "0.0306" in text[-1]
     empty = render_budget_text(LossChain(stages=()))
     assert "1.0000" in empty[-1]
 
-    path = tmp_path / "budget.csv"
-    write_budget_csv(REFERENCE_CHAIN, path)
-    lines = path.read_text("utf-8").splitlines()
+    names, effs, cumulative = zip(*budget_rows(REFERENCE_CHAIN))
+    lines = list(csv_lines("stage,efficiency,cumulative", np.array([effs, cumulative]),
+                           labels=names))
     assert lines[0] == "stage,efficiency,cumulative"
     assert lines[-1].startswith("coupling_matching,")
     assert float(lines[-1].split(",")[2]) == pytest.approx(0.0306, rel=1e-6)
