@@ -14,9 +14,10 @@ import dataclasses
 import json
 import sys
 import warnings
+from itertools import islice
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,35 +65,37 @@ def _require_seed(cfg: RunConfig, override: int | None) -> int:
     seed = override if override is not None else cfg.seed
     if seed is None:
         raise ConfigError("stochastic run requires an explicit seed (--seed or [run] seed)")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
 
 
 class Output:
     """What one command writes, held back until it has computed all of its
-    results: files in ``directory`` (name -> lines, possibly a generator),
+    results: files in ``directory`` (name -> an iterator of text lines),
     then stdout lines, then stderr lines.  A command that raises leaves it
     unwritten."""
 
     def __init__(self, directory: Path):
         self.directory = directory
-        self.files: dict[str, Iterable[str]] = {}
+        self.files: dict[str, Iterator[str]] = {}
         self.stdout: list[str] = []
         self.stderr: list[str] = []
 
     def file(self, name: str, lines) -> Path:
         """Queue a file of text lines; returns the path it will be written to."""
-        self.files[name] = lines
+        self.files[name] = iter(lines)
         return self.directory / name
 
 
 def _emit(output: Output) -> None:
-    """Write the files (UTF-8, LF endings), then print stdout and stderr:
-    the package's only output apart from warnings."""
+    """Write the files (UTF-8, LF endings), one string per 256 lines, then
+    print stdout and stderr: the package's only output apart from warnings."""
     for name, lines in output.files.items():
         output.directory.mkdir(parents=True, exist_ok=True)
         with open(output.directory / name, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(f"{line}\n")
+            while block := list(islice(lines, 256)):
+                fh.write("\n".join(block) + "\n")
     sys.stdout.writelines(f"{line}\n" for line in output.stdout)
     sys.stderr.writelines(f"{line}\n" for line in output.stderr)
 
@@ -311,7 +314,7 @@ def build_parser() -> _Parser:
 
     p_spec = sub.add_parser("spectrum", help="conversion spectrum CSV + FWHM report")
     common(p_spec)
-    p_spec.add_argument("--temp-range", default=None, metavar="T",
+    p_spec.add_argument("--temp-range", type=float, default=None, metavar="T",
                         help="operating temperature (defaults to the configured one)")
 
     p_budget = sub.add_parser("budget", help="efficiency budget table")
@@ -351,8 +354,7 @@ def main(argv=None) -> int:
             if args.command == "tune":
                 cmd_tune(cfg, _parse_range(args.temp_range), output)
             elif args.command == "spectrum":
-                temp = (_parse_range(args.temp_range)[0] if args.temp_range is not None
-                        else cfg.temperature_c)
+                temp = args.temp_range if args.temp_range is not None else cfg.temperature_c
                 cmd_spectrum(cfg, temp, output)
             elif args.command == "budget":
                 cmd_budget(cfg, output)

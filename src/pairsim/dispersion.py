@@ -63,6 +63,21 @@ def _check_range(model: SellmeierModel, wavelength_um, temperature_c):
                 f"validity [{lo:g}, {hi:g}] {unit}")
 
 
+def _thermal_terms(model: SellmeierModel, temperature_c):
+    """The temperature-only factors of n_e, for _index: a1 + b1 f, a2 + b2 f, g * g, a4 + b4 f."""
+    a1, a2, a3, a4, _, _, b1, b2, b3, b4 = model.coefficients
+    f = (temperature_c - _F_T_A) * (temperature_c + _F_T_B)
+    g = a3 + b3 * f
+    return a1 + b1 * f, a2 + b2 * f, g * g, a4 + b4 * f
+
+
+def _index(model: SellmeierModel, wavelength_um, c1, c2, g2, c4):
+    """n_e from _thermal_terms, unchecked; a numpy float or array."""
+    a5, a6 = model.coefficients[4:6]
+    lam2 = wavelength_um * wavelength_um
+    return np.sqrt(c1 + c2 / (lam2 - g2) + c4 / (lam2 - a5 * a5) - a6 * lam2)
+
+
 def refractive_index(model: SellmeierModel, wavelength_um, temperature_c):
     """Extraordinary refractive index n_e(lambda, T). Pure function.
 
@@ -70,14 +85,7 @@ def refractive_index(model: SellmeierModel, wavelength_um, temperature_c):
     + - * / and sqrt are used, so an array element equals the float result.
     """
     _check_range(model, wavelength_um, temperature_c)
-    a1, a2, a3, a4, a5, a6, b1, b2, b3, b4 = model.coefficients
-    f = (temperature_c - _F_T_A) * (temperature_c + _F_T_B)
-    lam2 = wavelength_um * wavelength_um
-    g = a3 + b3 * f
-    n = np.sqrt(a1 + b1 * f
-                + (a2 + b2 * f) / (lam2 - g * g)
-                + (a4 + b4 * f) / (lam2 - a5 * a5)
-                - a6 * lam2)
+    n = _index(model, wavelength_um, *_thermal_terms(model, temperature_c))
     return n if isinstance(n, np.ndarray) else float(n)
 
 

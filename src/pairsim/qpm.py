@@ -23,7 +23,7 @@ from sys import float_info
 import numpy as np
 
 from . import dispersion
-from .dispersion import C_M_PER_S, SellmeierModel, refractive_index
+from .dispersion import C_M_PER_S, SellmeierModel
 from .errors import ConfigError, NoSolutionError, SolverError, SpectralAnomalyError
 
 # |x| where sinc^2(x) = 1/2 (frozen from a bisection run; sinc(x) = sin(x)/x).
@@ -128,13 +128,27 @@ def idler_from_energy(pump_nm: float, signal_nm):
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
-def _index_sum_per_um(pump_nm, signal_nm, idler_nm, temperature_c,
-                      model: SellmeierModel) -> float:
-    """n_p/lp - n_s/ls - n_i/li in 1/um."""
-    lp, ls, li = pump_nm * 1e-3, signal_nm * 1e-3, idler_nm * 1e-3
-    return (refractive_index(model, lp, temperature_c) / lp
-            - refractive_index(model, ls, temperature_c) / ls
-            - refractive_index(model, li, temperature_c) / li)
+def _temperature_terms(crystal: CrystalSpec, pump_nm: float, temperature_c, model):
+    """delta_k's temperature-only factors: _thermal_terms, n_p/lp, m/Lambda(T) (1/um)."""
+    lp = pump_nm * 1e-3
+    dispersion._check_range(model, lp, temperature_c)
+    thermal = dispersion._thermal_terms(model, temperature_c)
+    return (*thermal, dispersion._index(model, lp, *thermal) / lp,
+            crystal.qpm_order / crystal.period_at(temperature_c))
+
+
+def _index_sum_per_um(terms, signal_nm, idler_nm, model: SellmeierModel):
+    """n_p/lp - n_s/ls - n_i/li in 1/um, from _temperature_terms."""
+    ls, li = signal_nm * 1e-3, idler_nm * 1e-3
+    for wavelength_um in (ls, li):
+        dispersion._check_range(model, wavelength_um, ())   # no temperature to check
+    return (terms[4] - dispersion._index(model, ls, *terms[:4]) / ls
+            - dispersion._index(model, li, *terms[:4]) / li)
+
+
+def _mismatch(terms, signal_nm, idler_nm, model: SellmeierModel):
+    """delta_k in rad/m from _temperature_terms: the one mismatch formula."""
+    return 2.0 * pi * (_index_sum_per_um(terms, signal_nm, idler_nm, model) - terms[5]) * 1e6
 
 
 def phase_mismatch(crystal: CrystalSpec, pump_nm: float, signal_nm, idler_nm,
@@ -142,9 +156,9 @@ def phase_mismatch(crystal: CrystalSpec, pump_nm: float, signal_nm, idler_nm,
     """delta_k = 2*pi*(n_p/lp - n_s/ls - n_i/li - m/Lambda(T)) in rad/m, for
     floats (giving a float) or float64 arrays broadcast together."""
     model = model or dispersion.default_model()
-    bracket = _index_sum_per_um(pump_nm, signal_nm, idler_nm, temperature_c, model)
-    grating = crystal.qpm_order / crystal.period_at(temperature_c)
-    return 2.0 * pi * (bracket - grating) * 1e6
+    dk = _mismatch(_temperature_terms(crystal, pump_nm, temperature_c, model),
+                   signal_nm, idler_nm, model)
+    return dk if isinstance(dk, np.ndarray) else float(dk)
 
 
 def _brentq(f, xpre, xcur, fpre, fcur, xtol: float, maxiter: int):
@@ -166,11 +180,11 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol: float, maxiter: int):
     xblk = fblk = spre = scur = np.zeros(live.size)
     for _ in range(maxiter):
         flip = (fpre < 0.0) != (fcur < 0.0)
-        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, xcur - xpre, xcur - xpre],
-                                          [xblk, fblk, spre, scur])
+        xblk, fblk, spre, scur = (np.where(flip, a, b) for a, b in (
+            (xpre, xblk), (fpre, fblk), (xcur - xpre, spre), (xcur - xpre, scur)))
         swap = np.abs(fblk) < np.abs(fcur)          # keep the best point in xcur
-        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
-        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+        xpre, xcur, xblk, fpre, fcur, fblk = (np.where(swap, a, b) for a, b in (
+            (xcur, xpre), (xblk, xcur), (xcur, xblk), (fcur, fpre), (fblk, fcur), (fcur, fblk)))
         delta = (xtol + _SOLVER_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0.0) | (np.abs(sbis) < delta)
@@ -185,11 +199,11 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol: float, maxiter: int):
             dpre = (fpre - fcur) / (xpre - xcur)
             dblk = (fblk - fcur) / (xblk - xcur)
             stry = np.where(xpre == xblk,
-                            -fcur * (xcur - xpre) / (fcur - fpre),                    # secant
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-        accept = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                  & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre, scur = np.where(accept, [scur, stry], sbis)
+                            (nfcur := -fcur) * (xcur - xpre) / (fcur - fpre),         # secant
+                            nfcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        accept = (((aspre := np.abs(spre)) > delta) & (np.abs(fcur) < np.abs(fpre))
+                  & (2 * np.abs(stry) < np.minimum(aspre, 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(accept, scur, sbis), np.where(accept, stry, sbis)
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         fcur = f(xcur, live)
@@ -205,25 +219,21 @@ def _solve(crystal: CrystalSpec, pump_nm: float, temps: np.ndarray,
     exception solve_signal raises at that temperature alone."""
     lo, hi = bracket_nm
 
-    def mismatch_at(signal_nm, idx):
-        return phase_mismatch(crystal, pump_nm, signal_nm,
-                              idler_from_energy(pump_nm, signal_nm), temps[idx], model)
-
     def endpoints(idx):
-        """(idx, delta_k at lo, at hi, failures); a ConfigError halves idx
-        until it belongs to one temperature."""
+        """([idx, delta_k at lo, at hi, *terms], failures); a ConfigError halves idx."""
         try:
             if not 0 < lo < hi:
                 raise ConfigError(f"bad signal bracket {bracket_nm}")
-            return idx, mismatch_at(lo, idx), mismatch_at(hi, idx), []
+            ends = [(s, idler_from_energy(pump_nm, s)) for s in (lo, hi)]
+            terms = _temperature_terms(crystal, pump_nm, temps[idx], model)
+            return [idx, *(_mismatch(terms, s, i, model) for s, i in ends), *terms], []
         except ConfigError as exc:
             if idx.size == 1:
-                return idx[:0], np.empty(0), np.empty(0), [(int(idx[0]), exc)]
-        halves = [endpoints(half) for half in np.array_split(idx, 2)]
-        return (*(np.concatenate(col) for col in zip(*(h[:3] for h in halves))),
-                halves[0][3] + halves[1][3])
+                return [idx[:0], *[np.empty(0)] * 8], [(int(idx[0]), exc)]
+        (left, left_failures), (right, right_failures) = map(endpoints, np.array_split(idx, 2))
+        return list(map(np.concatenate, zip(left, right))), left_failures + right_failures
 
-    solved, f_lo, f_hi, failures = endpoints(np.arange(temps.size))
+    (solved, f_lo, f_hi, *terms), failures = endpoints(np.arange(temps.size))
     same_sign = ((f_lo > 0) & (f_hi > 0)) | ((f_lo < 0) & (f_hi < 0))
     for k, a, b in zip(*(v[same_sign].tolist() for v in (solved, f_lo, f_hi))):
         failures.append((k, NoSolutionError(
@@ -231,10 +241,11 @@ def _solve(crystal: CrystalSpec, pump_nm: float, temps: np.ndarray,
             f"{temps[k].item()} C: delta_k = {a:.6g} / {b:.6g} rad/m",
             endpoint_values=(a, b))))
     failures.sort(key=lambda failure: failure[0])
-    solved, f_lo, f_hi = solved[~same_sign], f_lo[~same_sign], f_hi[~same_sign]
-    root, mismatch = _brentq(lambda x, live: mismatch_at(x, solved[live]),
-                             np.full(solved.size, lo), np.full(solved.size, hi),
-                             f_lo, f_hi, _SOLVER_XTOL_NM, _SOLVER_MAXITER)
+    solved, f_lo, f_hi, *terms = (v[~same_sign] for v in (solved, f_lo, f_hi, *terms))
+    root, mismatch = _brentq(lambda x, live: _mismatch(  # gathered once an element retires
+        terms if live.size == solved.size else [t[live] for t in terms], x,
+        idler_from_energy(pump_nm, x), model), np.full(solved.size, lo),
+        np.full(solved.size, hi), f_lo, f_hi, _SOLVER_XTOL_NM, _SOLVER_MAXITER)
     off = np.flatnonzero(~(np.abs(mismatch) < RESIDUAL_TOL_RAD_PER_M))
     if off.size:
         k = off[0]
@@ -274,11 +285,11 @@ def calibrate_period(crystal: CrystalSpec, pump_nm: float, target_signal_nm: flo
     """
     model = model or dispersion.default_model()
     idler_nm = idler_from_energy(pump_nm, target_signal_nm)
-    bracket = _index_sum_per_um(pump_nm, target_signal_nm, idler_nm, temperature_c, model)
-    period_at_t = crystal.qpm_order / bracket
+    terms = _temperature_terms(crystal, pump_nm, temperature_c, model)
+    period_at_t = crystal.qpm_order / _index_sum_per_um(terms, target_signal_nm, idler_nm, model)
     expansion = 1.0 + crystal.thermal_expansion_per_c * (
         temperature_c - crystal.reference_temp_c)
-    return period_at_t / expansion
+    return float(period_at_t / expansion)
 
 
 def tuning_curve(crystal: CrystalSpec, pump_nm: float,

@@ -136,6 +136,22 @@ def test_simulate_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,ini_seed", [
+    (["simulate", "--seed", "-1", "--triggers", "1000"], None),
+    (["repro", "--seed", "-3"], None),
+    (["simulate", "--triggers", "1000"], "-4"),
+], ids=["simulate", "repro", "ini"])
+def test_negative_seed_exits_1(tmp_path, capsys, argv, ini_seed):
+    if ini_seed is not None:
+        argv = argv + ["--config", _variant_config(tmp_path, **{"seed = 1": f"seed = {ini_seed}"})]
+    seed = ini_seed or argv[argv.index("--seed") + 1]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"configuration error: seed must be a non-negative integer, got {seed}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_simulate_byte_identical_for_same_seed(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--seed", "5", "--triggers", "100000"]
@@ -244,6 +260,25 @@ def test_usage_error_exit_code_is_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["tune", "--bogus"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("temp_range", ["20:30:1", "160:160:1", "abc"])
+def test_spectrum_refuses_anything_but_one_temperature(tmp_path, capsys, temp_range):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spectrum", "--temp-range", temp_range, "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert f"invalid float value: '{temp_range}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("temp_range", ["nan", "inf", "-inf", "19.5"])
+def test_spectrum_temperature_outside_model_exits_1(tmp_path, capsys, temp_range):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--temp-range", temp_range, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"configuration error: temperature {float(temp_range):g} C outside" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("temp_range", ["abc", "140:nan:5"])

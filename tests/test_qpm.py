@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import pairsim
 from pairsim import qpm
 from pairsim.cli import Output, _emit, cmd_spectrum, cmd_tune
-from pairsim.errors import ConfigError, NoSolutionError, SolverError
+from pairsim.errors import ConfigError, NoSolutionError, SolverError, ValidityRangeError
 from pairsim.qpm import (HALF_MAX_ARG, CrystalSpec, PhaseMatchPoint, _brentq, _sinc2,
                          calibrate_period, fwhm_bandwidth, idler_from_energy,
                          phase_mismatch, pm_spectrum, solve_signal,
@@ -328,6 +328,33 @@ def test_fwhm_half_points_equal_scipy_brentq(crystal, sellmeier, brentq_calls,
     assert [(c[1].size, c[5]) for c in half_points] == [(1, 1e-9), (1, 1e-9)]
     assert width_nm == half_points[0][7][0][0] - half_points[1][7][0][0]
     _assert_same_as_scipy(brentq_calls)
+
+
+def test_solver_evaluation_equals_phase_mismatch(crystal, sellmeier, brentq_calls):
+    # the function the Brent loop evaluates, with its temperature terms
+    # computed once per block, against phase_mismatch on a seeded grid that
+    # spans the model's temperature range and keeps both outputs inside
+    # its wavelength range
+    (t_lo, t_hi), step = sellmeier.temperature_range_c, 0.25
+    tuning_curve(crystal, PUMP_NM, (t_lo, t_hi), step, model=sellmeier)
+    (call,) = brentq_calls
+    f, temps = call[0], t_lo + np.arange(call[1].size) * step
+    assert temps[-1] == t_hi
+    rng = np.random.default_rng(14)
+    live = np.sort(rng.choice(temps.size, 5000))
+    signal = rng.uniform(600.0, 4400.0, live.size)
+    expected = phase_mismatch(crystal, PUMP_NM, signal, idler_from_energy(PUMP_NM, signal),
+                              temps[live], model=sellmeier)
+    assert np.array_equal(f(signal, live).view(np.int64), expected.view(np.int64))
+    for k in range(0, live.size, 250):
+        assert expected[k] == phase_mismatch(crystal, PUMP_NM, signal[k].item(),
+                                             idler_from_energy(PUMP_NM, signal[k].item()),
+                                             temps[live[k]].item(), model=sellmeier)
+    # every evaluation keeps the wavelength check and the signal-above-pump check
+    with pytest.raises(ValidityRangeError, match="^wavelength 5.4"):
+        f(np.array([800.0, 590.0]), np.array([0, 1]))
+    with pytest.raises(ConfigError, match="must exceed the pump"):
+        f(np.array([800.0, PUMP_NM - 1.0]), np.array([0, 1]))
 
 
 def _per_element(fn):
