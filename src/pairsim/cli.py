@@ -176,8 +176,7 @@ def cmd_detector(cfg: RunConfig, sweep: tuple[float, float, float], output: Outp
     lo, hi, step = sweep
     if hi < lo or step <= 0:
         raise ConfigError(f"bad overbias sweep {lo}:{hi}:{step}")
-    n = int(round((hi - lo) / step)) if hi > lo else 0
-    volts = [lo + k * step for k in range(n + 1)]
+    volts = [lo + k * step for k in range(qpm.grid_size(lo, hi, step))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the clamped column marks them
         qe = [detector.qe_at_overbias(cfg.apd, v) for v in volts]

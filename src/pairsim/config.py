@@ -166,7 +166,6 @@ def _read_ini(source: str, kind: str, schema: dict) -> dict[str, dict]:
 _SELLMEIER_SCHEMA = {
     "model": (
         ("name", str, _REQUIRED),
-        ("version", int, 1),
         ("coefficients", _floats, _REQUIRED),
         ("wavelength_range_um", _pair, _REQUIRED),
         ("temperature_range_c", _pair, _REQUIRED),

@@ -34,7 +34,6 @@ class SellmeierModel:
     coefficients: tuple[float, ...]
     wavelength_range_um: tuple[float, float]
     temperature_range_c: tuple[float, float]
-    version: int = 1
 
     def __post_init__(self):
         if len(self.coefficients) != 10:
@@ -50,17 +49,22 @@ class SellmeierModel:
             raise ConfigError(f"model '{self.name}': bad temperature range {tlo}..{thi} C")
 
 
-def _check_range(model: SellmeierModel, wavelength_um, temperature_c):
-    """ValidityRangeError for the first wavelength, else the first temperature,
-    outside the model's validity ranges."""
-    for what, unit, values, (lo, hi) in (
-            ("wavelength", "um", wavelength_um, model.wavelength_range_um),
-            ("temperature", "C", temperature_c, model.temperature_range_c)):
-        values = np.asarray(values)
-        if (outside := values[~((lo <= values) & (values <= hi))]).size:
-            raise ValidityRangeError(
-                f"{what} {outside[0]:g} {unit} outside model '{model.name}' "
-                f"validity [{lo:g}, {hi:g}] {unit}")
+def _outside(model: SellmeierModel, what: str, values: np.ndarray):
+    """(mask, error): the wavelengths (um) or temperatures (C) outside the model's
+    validity range, and error(v), the ValidityRangeError that names one of them."""
+    unit, (lo, hi) = {"wavelength": ("um", model.wavelength_range_um),
+                      "temperature": ("C", model.temperature_range_c)}[what]
+    return ~((lo <= values) & (values <= hi)), lambda v: ValidityRangeError(
+        f"{what} {v:g} {unit} outside model '{model.name}' validity [{lo:g}, {hi:g}] {unit}")
+
+
+def _check_range(model: SellmeierModel, **values):
+    """ValidityRangeError for the first value outside the model's validity
+    ranges, checking ``wavelength`` (um) before ``temperature`` (C)."""
+    for what, given in values.items():
+        mask, error = _outside(model, what, given := np.asarray(given))
+        if (bad := given[mask]).size:
+            raise error(bad[0])
 
 
 def _thermal_terms(model: SellmeierModel, temperature_c):
@@ -84,7 +88,7 @@ def refractive_index(model: SellmeierModel, wavelength_um, temperature_c):
     Floats or float64 arrays, broadcast together; floats give a float.  Only
     + - * / and sqrt are used, so an array element equals the float result.
     """
-    _check_range(model, wavelength_um, temperature_c)
+    _check_range(model, wavelength=wavelength_um, temperature=temperature_c)
     n = _index(model, wavelength_um, *_thermal_terms(model, temperature_c))
     return n if isinstance(n, np.ndarray) else float(n)
 

@@ -131,7 +131,7 @@ def idler_from_energy(pump_nm: float, signal_nm):
 def _temperature_terms(crystal: CrystalSpec, pump_nm: float, temperature_c, model):
     """delta_k's temperature-only factors: _thermal_terms, n_p/lp, m/Lambda(T) (1/um)."""
     lp = pump_nm * 1e-3
-    dispersion._check_range(model, lp, temperature_c)
+    dispersion._check_range(model, wavelength=lp, temperature=temperature_c)
     thermal = dispersion._thermal_terms(model, temperature_c)
     return (*thermal, dispersion._index(model, lp, *thermal) / lp,
             crystal.qpm_order / crystal.period_at(temperature_c))
@@ -141,7 +141,7 @@ def _index_sum_per_um(terms, signal_nm, idler_nm, model: SellmeierModel):
     """n_p/lp - n_s/ls - n_i/li in 1/um, from _temperature_terms."""
     ls, li = signal_nm * 1e-3, idler_nm * 1e-3
     for wavelength_um in (ls, li):
-        dispersion._check_range(model, wavelength_um, ())   # no temperature to check
+        dispersion._check_range(model, wavelength=wavelength_um)
     return (terms[4] - dispersion._index(model, ls, *terms[:4]) / ls
             - dispersion._index(model, li, *terms[:4]) / li)
 
@@ -216,31 +216,22 @@ def _solve(crystal: CrystalSpec, pump_nm: float, temps: np.ndarray,
     _brentq call: (solved, signal_nm, idler_nm, mismatch, failures), where
     ``solved`` indexes the temperatures with a root and ``failures`` lists
     (index, exception) for the others, in index order, each with the
-    exception solve_signal raises at that temperature alone."""
+    exception solve_signal raises at that temperature alone.  A bad bracket,
+    pump or bracket-end wavelength fails every temperature alike: it raises."""
     lo, hi = bracket_nm
-
-    def endpoints(idx):
-        """([idx, delta_k at lo, at hi, *terms], failures); a ConfigError halves idx."""
-        try:
-            if not 0 < lo < hi:
-                raise ConfigError(f"bad signal bracket {bracket_nm}")
-            ends = [(s, idler_from_energy(pump_nm, s)) for s in (lo, hi)]
-            terms = _temperature_terms(crystal, pump_nm, temps[idx], model)
-            return [idx, *(_mismatch(terms, s, i, model) for s, i in ends), *terms], []
-        except ConfigError as exc:
-            if idx.size == 1:
-                return [idx[:0], *[np.empty(0)] * 8], [(int(idx[0]), exc)]
-        (left, left_failures), (right, right_failures) = map(endpoints, np.array_split(idx, 2))
-        return list(map(np.concatenate, zip(left, right))), left_failures + right_failures
-
-    (solved, f_lo, f_hi, *terms), failures = endpoints(np.arange(temps.size))
+    if not 0 < lo < hi:
+        raise ConfigError(f"bad signal bracket {bracket_nm}")
+    ends = [(s, idler_from_energy(pump_nm, s)) for s in (lo, hi)]
+    outside, error = dispersion._outside(model, "temperature", temps)
+    solved = np.flatnonzero(~outside)
+    failures = [(k, error(temps[k])) for k in np.flatnonzero(outside).tolist()]
+    terms = _temperature_terms(crystal, pump_nm, temps[solved], model)  # checks the pump
+    f_lo, f_hi = (_mismatch(terms, s, i, model) for s, i in ends)
     same_sign = ((f_lo > 0) & (f_hi > 0)) | ((f_lo < 0) & (f_hi < 0))
-    for k, a, b in zip(*(v[same_sign].tolist() for v in (solved, f_lo, f_hi))):
-        failures.append((k, NoSolutionError(
-            f"no phase-match root in signal bracket [{lo}, {hi}] nm at "
-            f"{temps[k].item()} C: delta_k = {a:.6g} / {b:.6g} rad/m",
-            endpoint_values=(a, b))))
-    failures.sort(key=lambda failure: failure[0])
+    failures = sorted(failures + [(k, NoSolutionError(  # by index, each index once
+        f"no phase-match root in signal bracket [{lo}, {hi}] nm at {temps[k].item()} C: "
+        f"delta_k = {a:.6g} / {b:.6g} rad/m", endpoint_values=(a, b)))
+        for k, a, b in zip(*(v[same_sign].tolist() for v in (solved, f_lo, f_hi)))])
     solved, f_lo, f_hi, *terms = (v[~same_sign] for v in (solved, f_lo, f_hi, *terms))
     root, mismatch = _brentq(lambda x, live: _mismatch(  # gathered once an element retires
         terms if live.size == solved.size else [t[live] for t in terms], x,
@@ -292,15 +283,20 @@ def calibrate_period(crystal: CrystalSpec, pump_nm: float, target_signal_nm: flo
     return float(period_at_t / expansion)
 
 
+def grid_size(lo: float, hi: float, step: float) -> int:
+    """Points of the sweep lo + k * step (k = 0, 1, ...) up to hi, none past it."""
+    return int((hi - lo) / step + 1e-9) + 1
+
+
 def tuning_curve(crystal: CrystalSpec, pump_nm: float,
                  temp_range_c: tuple[float, float], step_c: float,
                  bracket_nm: tuple[float, float] = DEFAULT_SIGNAL_BRACKET_NM,
                  model: SellmeierModel | None = None) -> TuningCurve:
-    """solve_signal over the inclusive temperature grid lo + k * step_c,
-    _BLOCK temperatures per solve.
+    """solve_signal over the temperatures of grid_size, _BLOCK per _solve call.
 
     Temperatures whose solve fails are omitted from the columns and recorded
-    in ``failures``.  An entirely empty curve raises NoSolutionError.
+    in ``failures``.  An entirely empty curve raises the first temperature's
+    error if none lies inside the model, else NoSolutionError.
     """
     lo, hi = temp_range_c
     if hi < lo:
@@ -309,19 +305,22 @@ def tuning_curve(crystal: CrystalSpec, pump_nm: float,
         raise ConfigError(f"temperature step must be > 0, got {step_c}")
     model = model or dispersion.default_model()
 
-    n_temps = int((hi - lo) / step_c + 1e-9) + 1
-    columns, failures = [], []
+    n_temps = grid_size(lo, hi, step_c)
+    columns, errors = [], []
     for start in range(0, n_temps, _BLOCK):
         temps = lo + np.arange(start, min(start + _BLOCK, n_temps)) * step_c
         solved, signal, idler, _, block_failures = _solve(crystal, pump_nm, temps,
                                                           bracket_nm, model)
         columns.append((temps[solved], signal, idler))
-        failures += [(temps[k].item(), str(exc)) for k, exc in block_failures]
-    curve = TuningCurve(*(np.concatenate(col) for col in zip(*columns)), failures=failures)
+        errors += [(temps[k].item(), exc) for k, exc in block_failures]
+    curve = TuningCurve(*(np.concatenate(col) for col in zip(*columns)),
+                        failures=[(t, str(exc)) for t, exc in errors])
     if not len(curve):
+        if all(isinstance(exc, ConfigError) for _, exc in errors):   # outside the model
+            raise errors[0][1]
         raise NoSolutionError(
             f"no temperature in {lo}..{hi} C produced a phase-match root; "
-            f"first failure: {failures[0][1] if failures else 'n/a'}"
+            f"first failure: {errors[0][1]}"
         )
     return curve
 
@@ -387,17 +386,15 @@ def fwhm_bandwidth(crystal: CrystalSpec, solution: PhaseMatchPoint,
 
     # Local slope gives the expected half-width scale.
     probe_nm = 1e-3
-    slope = abs(envelope_arg(solution.idler_nm + probe_nm)
-                - envelope_arg(solution.idler_nm)) / probe_nm
+    f_peak = envelope_arg(solution.idler_nm)
+    slope = abs(envelope_arg(solution.idler_nm + probe_nm) - f_peak) / probe_nm
     if slope == 0.0:
         raise SpectralAnomalyError("flat spectrum: mismatch does not vary with idler wavelength")
     half_width_est_nm = HALF_MAX_ARG / slope
 
     def half_point(direction: float) -> float:
-        step = half_width_est_nm / 8.0
-        prev = solution.idler_nm
-        f_prev = envelope_arg(prev)
-        limit = 10.0 * half_width_est_nm
+        step, limit = half_width_est_nm / 8.0, 10.0 * half_width_est_nm
+        prev, f_prev = solution.idler_nm, f_peak
         k = 1
         while k * step <= limit:
             cur = solution.idler_nm + direction * k * step

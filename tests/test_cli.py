@@ -61,6 +61,47 @@ def test_tune_without_root_exits_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temp_range,first", [("300", "300"), ("19.5", "19.5"),
+                                              ("0:10:5", "0")])
+def test_tune_without_temperature_in_model_exits_1_like_spectrum(tmp_path, capsys,
+                                                                 temp_range, first):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--temp-range", first, "--out", str(out)]) == 1
+    spectrum_err = capsys.readouterr().err
+    assert main(["tune", "--temp-range", temp_range, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == spectrum_err
+    assert captured.err.startswith(f"pairsim: configuration error: temperature {first} C outside")
+    assert captured.out == "" and not out.exists()
+
+
+# A bracket or pump the model cannot take fails every temperature alike.
+BAD_QPM_INPUTS = {
+    "inverted-bracket": ("signal_bracket_nm = 760, 860", "signal_bracket_nm = 860, 760",
+                         "bad signal bracket (860.0, 760.0)"),
+    "bracket-below-pump": ("signal_bracket_nm = 760, 860", "signal_bracket_nm = 500, 860",
+                           "signal (500.0 nm) must exceed the pump (532.1 nm)"),
+    "pump-outside-model": ("pump_wavelength_nm = 532.1", "pump_wavelength_nm = 380",
+                           "wavelength 0.38 um outside model"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_QPM_INPUTS)
+def test_bad_bracket_or_pump_exits_1_in_every_qpm_command(tmp_path, capsys, bad):
+    old, new, reason = BAD_QPM_INPUTS[bad]
+    cfg = _variant_config(tmp_path, **{old: new})
+    out = tmp_path / "out"
+    errs = []
+    for command in (["tune"], ["spectrum"], ["repro", "--seed", "1"]):
+        assert main(command + ["--config", cfg, "--out", str(out)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        errs.append(captured.err)
+    assert errs[0] == errs[1] == errs[2]
+    assert errs[0].startswith(f"pairsim: configuration error: {reason}")
+    assert errs[0].count("\n") == 1
+
+
 def test_spectrum_reports_bandwidth(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["spectrum", "--out", str(out)]) == 0
@@ -126,6 +167,18 @@ def test_detector_curve_flags_clamped_rows(tmp_path):
     assert rows[0][3] == "1"
     assert rows[-1][3] == "1"
     assert any(r[3] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("sweep,n_points", [("0.5:4.0:0.3", 12), ("0.5:4.0:0.1", 36),
+                                             ("1:2:0.5", 3), ("1:1:0.5", 1)])
+def test_detector_curve_never_passes_the_sweep_end(tmp_path, sweep, n_points):
+    out = tmp_path / "out"
+    assert main(["detector-curve", "--overbias", sweep, "--out", str(out)]) == 0
+    volts = [float(line.split(",")[0])
+             for line in (out / "detector_curve.csv").read_text("utf-8").splitlines()[1:]]
+    lo, hi, step = (float(v) for v in sweep.split(":"))
+    assert len(volts) == n_points == qpm.grid_size(lo, hi, step)
+    assert max(volts) <= hi
 
 
 def test_simulate_requires_seed(tmp_path, capsys):
@@ -290,7 +343,8 @@ def test_tune_non_numeric_range_exits_1(tmp_path, capsys, temp_range):
 @pytest.mark.parametrize("kind,old,new,named", [
     ("run", "bin_width_ns = 2.0", "bin_width = 1.0", "bin_width"),
     ("run", "[budget]", "[budgets]", "[budgets]"),
-    ("lithium_niobate_e", "version = 1", "versoin = 1", "versoin"),
+    ("lithium_niobate_e", "wavelength_range_um = 0.40", "wavelength_um = 0.40", "wavelength_um"),
+    ("lithium_niobate_e", "[model]", "[model]\nversion = 1", "version"),   # the dropped key
     ("apd_ingaas", "jitter_sigma_ns = 1.0", "jitter_ns = 1.0", "jitter_ns"),
 ])
 def test_unknown_key_or_section_exits_1(tmp_path, capsys, kind, old, new, named):

@@ -71,7 +71,8 @@ def test_deterministic_outputs_are_byte_identical(tmp_path, monkeypatch, capsys)
 # shipped one, temperature range) -> (exit code, SHA-256 of stdout, of stderr
 # and of tuning_curve.csv, None when it is not written).  Recorded from the
 # scalar solver, one solve_signal call per temperature, so each failing
-# temperature keeps its reason, with the same text, in the same order.
+# temperature keeps its reason, with the same text, in the same order.  A
+# bracket that fails at every temperature is a configuration error (exit 1).
 FAILURE_RUNS = {
     "outside-model": (None, "0:300:25"),
     "no-root-from-170": ("800, 860", "100:200:10"),
@@ -90,14 +91,14 @@ FAILURE_DIGESTS = {
         "498e58714f285d163fcb65c0d0d9dc02e56fae28c7d3e237b848160368d6c8bc",
         "dc19d640d03fd8da68edb2d69e094e8b9ecd6a791449bed9035438b4f7ba5180"),
     "signal-below-pump": (
-        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "2b14e0c834626204cdded881aff426e4c61f8d73a552cdf619372cbefa7c401f", None),
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8a86f060a2486fa431f75d02e7ddd98349efc96eaca2e69978c938cb32e2acd4", None),
     "no-root-anywhere": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "1b6413ae1bca4789b0a1f78dc774c68d097cc6e1ed3baab867694f84a33ee50f", None),
     "inverted-bracket": (
-        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "87b37a87157ee15626f8d9ad19f52a8c66000786ecfe7e871b746eb322662f60", None),
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bf6f1ce935b09452369c4d987b5da71bd8fba9f71d0cffa03a43317c459d7295", None),
     "mixed": (
         0, "ff21e030572dd936862674b3f333cde8b0ec460033b65bfbf5593299fe9fa627",
         "c75f672eb4ff71822beb9c9067fdf96a452eb29c29c16aef72332f7d42f7ab38",

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import pairsim
@@ -168,6 +170,33 @@ def test_tuning_curve_reports_failures_and_raises_when_empty(crystal, sellmeier)
     with pytest.raises(NoSolutionError):
         tuning_curve(crystal, PUMP_NM, (140.0, 150.0), 5.0,
                      bracket_nm=(760.0, 780.0), model=sellmeier)
+
+
+def _solve_alone(crystal, temperature_c, bracket_nm, model):
+    """(T, signal, idler), or (T, reason) when solve_signal raises there."""
+    try:
+        point = solve_signal(crystal, PUMP_NM, temperature_c, bracket_nm, model)
+    except (ConfigError, NoSolutionError) as exc:
+        return temperature_c, str(exc)
+    return temperature_c, point.signal_nm, point.idler_nm
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(lo=st.floats(-10.0, 20.0, exclude_max=True), hi=st.floats(250.0, 300.0, exclude_min=True),
+       step=st.floats(5.0, 40.0),
+       bracket_nm=st.sampled_from([qpm.DEFAULT_SIGNAL_BRACKET_NM, (800.0, 860.0)]))
+def test_tuning_curve_equals_solve_signal_at_each_temperature(crystal, sellmeier, lo, hi,
+                                                              step, bracket_nm):
+    # grids that straddle the model's 20-250 C, against one scalar solve per
+    # temperature: each row equal, each failure with its reason, in order
+    temps = [lo + k * step for k in range(qpm.grid_size(lo, hi, step))]
+    alone = [_solve_alone(crystal, t, bracket_nm, sellmeier) for t in temps]
+    curve = tuning_curve(crystal, PUMP_NM, (lo, hi), step, bracket_nm, sellmeier)
+    rows = list(zip(*(col.tolist() for col in (curve.temperature_c, curve.signal_nm,
+                                               curve.idler_nm))))
+    assert rows == [r for r in alone if len(r) == 3]
+    assert curve.failures == [r for r in alone if len(r) == 2]
+    assert curve.failures
 
 
 def test_energy_conservation_on_random_solver_outputs(crystal, sellmeier):
